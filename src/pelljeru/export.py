@@ -24,11 +24,19 @@ def _emit(sink, chunks) -> int:
     return total
 
 
+def _text_rows(grid: Grid2D, sep: bytes):
+    # One reused line: '0'/'1' in the even slots, sep in the odd, '\n' last.
+    side = grid.side
+    line = np.full(2 * side, sep[0], dtype=np.uint8)
+    line[-1] = ord("\n")
+    for packed in grid.packed_rows():
+        np.add(np.unpackbits(packed, count=side), 48, out=line[::2])
+        yield line.tobytes()
+
+
 def _pbm_ascii_chunks(grid: Grid2D):
     yield f"P1\n{grid.side} {grid.side}\n".encode("ascii")
-    cells = grid.to_bool_array().astype(np.uint8)
-    for row in cells:
-        yield (" ".join("1" if v else "0" for v in row) + "\n").encode("ascii")
+    yield from _text_rows(grid, b" ")
 
 
 def _pbm_binary_chunks(grid: Grid2D):
@@ -50,12 +58,6 @@ def _svg_chunks(grid: Grid2D):
     yield b"</svg>\n"
 
 
-def _csv_chunks(grid: Grid2D):
-    cells = grid.to_bool_array().astype(np.uint8)
-    for row in cells:
-        yield (",".join("1" if v else "0" for v in row) + "\n").encode("ascii")
-
-
 def write2d(grid: Grid2D, fmt: str, sink) -> int:
     """Serialize a 2D grid; returns bytes written."""
     if fmt == "pbm_ascii":
@@ -65,7 +67,7 @@ def write2d(grid: Grid2D, fmt: str, sink) -> int:
     if fmt == "svg":
         return _emit(sink, _svg_chunks(grid))
     if fmt == "csv":
-        return _emit(sink, _csv_chunks(grid))
+        return _emit(sink, _text_rows(grid, b","))
     raise ValueError(f"unknown 2D format {fmt!r}, expected one of {FORMATS_2D}")
 
 

@@ -109,9 +109,6 @@ def contains2d(n: int, x: int, y: int) -> bool:
     return True
 
 
-_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1).astype(np.int64)
-
-
 class Grid2D:
     """Dense square bitmap with bit-packed rows (MSB-first, PBM P4 layout).
 
@@ -159,13 +156,13 @@ class Grid2D:
         return self._rows
 
     def filled_count(self) -> int:
-        return int(_POPCOUNT[self._rows].sum())
+        return int(np.bitwise_count(self._rows).sum())
 
     def difference_count(self, other: "Grid2D") -> int:
         """Number of cells on which the two grids differ."""
         if self.side != other.side:
             raise ValueError(f"grid sides differ: {self.side} vs {other.side}")
-        return int(_POPCOUNT[self._rows ^ other._rows].sum())
+        return int(np.bitwise_count(self._rows ^ other._rows).sum())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Grid2D):
@@ -222,12 +219,11 @@ def build2d(n: int, max_build: int | None = None) -> Grid2D:
     two).  The result agrees cell-for-cell with contains2d.
     """
     limit = MAX_BUILD_2D if max_build is None else max_build
-    if n < 1:
-        raise PellIndexError(f"dense build needs level >= 1, got {n}")
-    if n > min(limit, N_MAX):
+    if not 1 <= n <= N_MAX:
+        raise PellIndexError(f"dense build level {n} outside [1, {N_MAX}]")
+    if n > limit:
         raise BuildLimitError(
-            f"dense 2D build at level {n} exceeds the guard {min(limit, N_MAX)}; "
-            "raise max_build to override"
+            f"dense 2D build at level {n} exceeds the guard {limit}; raise max_build to override"
         )
     prev2: np.ndarray | None = None
     prev1 = np.array([[0x80]], dtype=np.uint8)  # level 1: one filled cell

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid2d import BuildLimitError, CoordinateError, Grid2D, _POPCOUNT
+from .grid2d import BuildLimitError, CoordinateError, Grid2D
 from .pell import N_MAX, PellIndexError, pell
 
 # Dense-build memory guard: p_8 = 408, about 8.5 MB bit-packed.
@@ -102,7 +102,7 @@ class Grid3D:
         return self._planes
 
     def filled_count(self) -> int:
-        return int(_POPCOUNT[self._planes].sum())
+        return int(np.bitwise_count(self._planes).sum())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Grid3D):
@@ -166,12 +166,11 @@ def _assemble_packed3(n: int, sub1: np.ndarray, sub2: np.ndarray | None) -> np.n
 def build3d(n: int, max_build: int | None = None) -> Grid3D:
     """Build the dense level-n voxel grid by recursive block stamping."""
     limit = MAX_BUILD_3D if max_build is None else max_build
-    if n < 1:
-        raise PellIndexError(f"dense build needs level >= 1, got {n}")
-    if n > min(limit, N_MAX):
+    if not 1 <= n <= N_MAX:
+        raise PellIndexError(f"dense build level {n} outside [1, {N_MAX}]")
+    if n > limit:
         raise BuildLimitError(
-            f"dense 3D build at level {n} exceeds the guard {min(limit, N_MAX)}; "
-            "raise max_build to override"
+            f"dense 3D build at level {n} exceeds the guard {limit}; raise max_build to override"
         )
     prev2: np.ndarray | None = None
     prev1 = np.array([[[0x80]]], dtype=np.uint8)  # level 1: one filled voxel

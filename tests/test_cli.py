@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from pelljeru import build2d, build3d, export
+from pelljeru import N_MAX, build2d, build3d, export
 from pelljeru.cli import main
 
 
@@ -163,3 +163,24 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert out.read_bytes() == expected_2d(3, "pbm_ascii")
+
+
+@pytest.mark.parametrize("command", ["gen2d", "gen3d"])
+def test_build_above_pell_cap_exits_1(command):
+    proc = subprocess.run(
+        [sys.executable, "-m", "pelljeru", command, "--n", "89", "--max-build", "100"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert f"outside [1, {N_MAX}]" in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    code = "import pelljeru, sys; print(sorted({'scipy', 'mpmath'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

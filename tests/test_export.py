@@ -44,6 +44,15 @@ def test_csv_rows():
     assert len(rows) == 5
 
 
+def test_text_rows_match_per_cell_join():
+    # the per-cell join that the packed-row encoder replaced, as a reference
+    for n in (5, 6, 7):
+        g = build2d(n)
+        for fmt, sep, head in (("pbm_ascii", " ", f"P1\n{g.side} {g.side}\n"), ("csv", ",", "")):
+            rows = (sep.join("1" if v else "0" for v in row) + "\n" for row in g.to_bool_array())
+            assert dump2d(g, fmt) == (head + "".join(rows)).encode("ascii"), (n, fmt)
+
+
 def test_pbm_binary_layout():
     data = dump2d(build2d(3), "pbm_binary")
     assert data.startswith(b"P4\n5 5\n")

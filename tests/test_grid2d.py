@@ -7,11 +7,13 @@ from pelljeru import (
     BandKind,
     BuildLimitError,
     CoordinateError,
+    N_MAX,
     Grid2D,
     band_of,
     build2d,
     contains2d,
     corner_subgrid,
+    PellIndexError,
     pell,
     subgrid,
 )
@@ -89,6 +91,13 @@ def test_build_guards():
     with pytest.raises(BuildLimitError):
         build2d(5, max_build=4)
     assert build2d(5, max_build=5).side == 29
+
+
+def test_build_above_pell_cap_is_an_index_error():
+    # no max_build can lift a build past the Pell index cap
+    for limit in (None, N_MAX + 12):
+        with pytest.raises(PellIndexError, match=rf"outside \[1, {N_MAX}\]"):
+            build2d(N_MAX + 1, max_build=limit)
 
 
 def test_symmetry():

@@ -7,9 +7,11 @@ from pelljeru import (
     MAX_BUILD_3D,
     BuildLimitError,
     CoordinateError,
+    N_MAX,
     build2d,
     build3d,
     contains3d,
+    PellIndexError,
     pell,
     subgrid3,
 )
@@ -133,6 +135,13 @@ def test_build_guards():
     with pytest.raises(BuildLimitError):
         build3d(4, max_build=3)
     assert build3d(4, max_build=4).side == 12
+
+
+def test_build_above_pell_cap_is_an_index_error():
+    # no max_build can lift a build past the Pell index cap
+    for limit in (None, N_MAX + 12):
+        with pytest.raises(PellIndexError, match=rf"outside \[1, {N_MAX}\]"):
+            build3d(N_MAX + 1, max_build=limit)
 
 
 def test_subgrid3_guards():

@@ -94,7 +94,7 @@ def test_dim_analytic_values():
 
 def test_dim_analytic_routes_agree():
     for kind in ("square", "cube"):
-        assert abs(dim_analytic(kind, "log") - dim_analytic(kind, "root")) < 1e-9
+        assert abs(dim_analytic(kind, "log") - dim_analytic(kind, "root")) < 1e-12
 
 
 def test_dim_analytic_validation():

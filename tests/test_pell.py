@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -67,6 +68,20 @@ def test_ratio_diagnostic_small():
 
     # |2/5 - (sqrt(2) - 1)|
     assert abs(ratio_diagnostic(3).error_to_k - 0.014213562373095049) < 1e-12
+
+
+def test_ratio_diagnostic_matches_decimal_reference():
+    # 150 significant digits, then one rounding to float; every field must
+    # be bit-identical, down to errors near 1e-67 at n = N_MAX
+    with localcontext() as ctx:
+        ctx.prec = 150
+        silver = 1 + Decimal(2).sqrt()
+        for n in range(2, N_MAX + 1):
+            num, den = Decimal(pell(n)), Decimal(pell(n - 1))
+            d = ratio_diagnostic(n)
+            assert d.ratio == float(num / den), n
+            assert d.error_to_silver == float(abs(num / den - silver)), n
+            assert d.error_to_k == float(abs(den / num - (silver - 2))), n
 
 
 def test_ratio_diagnostic_guards():
