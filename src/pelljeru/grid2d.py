@@ -40,6 +40,15 @@ class Band:
     local_offset: int
 
 
+# Per level n >= 2: (low_w, hi0, mid_w, flush_hi).  Each axis splits into
+# [0, low_w) / [low_w, hi0) / [hi0, side); edge blocks span [0, mid_w) or
+# [flush_hi, side) on their non-mid axes.
+_BANDS = [None, None] + [
+    (pell(n - 1), pell(n - 1) + pell(n - 2), pell(n - 2), pell(n) - pell(n - 2))
+    for n in range(2, N_MAX + 1)
+]
+
+
 def band_of(coord: int, n: int) -> Band:
     """Classify a coordinate into the low/mid/high band of level n (n >= 2)."""
     if n < 2:
@@ -47,66 +56,51 @@ def band_of(coord: int, n: int) -> Band:
     side = pell(n)
     if not 0 <= coord < side:
         raise CoordinateError(f"coordinate {coord} outside [0, {side}) at level {n}")
-    low_w = pell(n - 1)
-    mid_w = pell(n - 2)
+    low_w, hi0 = _BANDS[n][:2]
     if coord < low_w:
         return Band(BandKind.LOW, coord)
-    if coord < low_w + mid_w:
+    if coord < hi0:
         return Band(BandKind.MID, coord - low_w)
-    return Band(BandKind.HIGH, coord - low_w - mid_w)
+    return Band(BandKind.HIGH, coord - hi0)
+
+
+def _descend(n: int, coords) -> bool:
+    """Membership of an in-range cell or voxel at level n, on any number of axes.
+
+    Each axis yields its offset in the level n-1 corner block and in the flush
+    level n-2 edge block (None in the cross arm beside it).  No mid-band axis
+    descends into the corner block, one into the edge block; the rest is cross.
+    """
+    while n >= 2:
+        low_w, hi0, mid_w, flush_hi = _BANDS[n]
+        corner, edge, mids = [], [], 0
+        for c in coords:
+            if c < low_w:
+                corner.append(c)
+                edge.append(c if c < mid_w else None)
+            elif c >= hi0:
+                corner.append(c - hi0)
+                edge.append(c - flush_hi if c >= flush_hi else None)
+            else:
+                mids += 1
+                edge.append(c - low_w)
+        if not mids:
+            coords, n = corner, n - 1
+        elif mids == 1 and None not in edge:
+            coords, n = edge, n - 2
+        else:
+            return False
+    return True
 
 
 def contains2d(n: int, x: int, y: int) -> bool:
-    """Cell membership at level n without building a grid.
-
-    Descends the band structure: both coordinates mid-band means the cell is
-    in the removed cross; exactly one mid-band coordinate sends the query
-    into the flush level n-2 edge block (or the cross arm behind it); no
-    mid-band coordinate recurses into a level n-1 corner block.
-    """
+    """Cell membership at level n without building a grid."""
     if not 1 <= n <= N_MAX:
         raise PellIndexError(f"membership level {n} outside [1, {N_MAX}]")
     side = pell(n)
     if not (0 <= x < side and 0 <= y < side):
         raise CoordinateError(f"cell ({x}, {y}) outside [0, {side})^2 at level {n}")
-    while n >= 2:
-        side = pell(n)
-        low_w = pell(n - 1)
-        mid_w = pell(n - 2)
-        hi0 = low_w + mid_w
-        x_mid = low_w <= x < hi0
-        y_mid = low_w <= y < hi0
-        if x_mid and y_mid:
-            return False
-        if x_mid or y_mid:
-            # Edge block of side pell(n-2), flush against the outer boundary
-            # along the non-mid axis; the rest of that band is cross arm.
-            if x_mid:
-                x -= low_w
-            elif x < low_w:
-                if x >= mid_w:
-                    return False
-            else:
-                if x < side - mid_w:
-                    return False
-                x -= side - mid_w
-            if y_mid:
-                y -= low_w
-            elif y < low_w:
-                if y >= mid_w:
-                    return False
-            else:
-                if y < side - mid_w:
-                    return False
-                y -= side - mid_w
-            n -= 2
-        else:
-            if x >= hi0:
-                x -= hi0
-            if y >= hi0:
-                y -= hi0
-            n -= 1
-    return True
+    return _descend(n, (x, y))
 
 
 class Grid2D:
@@ -115,8 +109,8 @@ class Grid2D:
     ``level`` records the construction level for grids built by build2d and
     is None for grids from other sources (rasterized models, parsed files).
     Equality compares side and cell contents only.  The packed rows are
-    immutable; padding bits past ``side`` are always zero, which keeps the
-    XOR/popcount paths exact.
+    immutable; padding bits past ``side`` are zero (the constructor rejects
+    others), which keeps the XOR/popcount paths exact.
     """
 
     __slots__ = ("side", "level", "_rows")
@@ -129,6 +123,8 @@ class Grid2D:
         self.side = side
         self.level = level
         rows = np.ascontiguousarray(packed_rows, dtype=np.uint8)
+        if side % 8 and (rows[:, -1] & (0xFF >> side % 8)).any():
+            raise ValueError(f"packed rows set padding bits past side {side}")
         rows.setflags(write=False)
         self._rows = rows
 
@@ -184,9 +180,7 @@ def _assemble_packed(n: int, sub1: np.ndarray, sub2: np.ndarray | None) -> np.nd
     unpacked band matrices and repacks row-wise.
     """
     side = pell(n)
-    low_w = pell(n - 1)
-    mid_w = pell(n - 2)
-    hi0 = low_w + mid_w
+    low_w, hi0, mid_w, flush_hi = _BANDS[n]
     out = np.empty((side, (side + 7) // 8), dtype=np.uint8)
 
     corner = np.unpackbits(sub1, axis=1, count=low_w).astype(bool)
@@ -207,7 +201,7 @@ def _assemble_packed(n: int, sub1: np.ndarray, sub2: np.ndarray | None) -> np.nd
     if mid_w:
         mid_band = np.zeros((mid_w, side), dtype=bool)
         mid_band[:, :mid_w] = edge  # left edge block
-        mid_band[:, side - mid_w:] = edge  # right edge block
+        mid_band[:, flush_hi:] = edge  # right edge block
         out[low_w:hi0] = np.packbits(mid_band, axis=1)
     return out
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid2d import BuildLimitError, CoordinateError, Grid2D
+from .grid2d import _BANDS, BuildLimitError, CoordinateError, Grid2D, _descend
 from .pell import N_MAX, PellIndexError, pell
 
 # Dense-build memory guard: p_8 = 408, about 8.5 MB bit-packed.
@@ -25,42 +25,15 @@ def contains3d(n: int, x: int, y: int, z: int) -> bool:
     side = pell(n)
     if not (0 <= x < side and 0 <= y < side and 0 <= z < side):
         raise CoordinateError(f"voxel ({x}, {y}, {z}) outside [0, {side})^3 at level {n}")
-    coords = [x, y, z]
-    while n >= 2:
-        side = pell(n)
-        low_w = pell(n - 1)
-        mid_w = pell(n - 2)
-        hi0 = low_w + mid_w
-        mid = [low_w <= c < hi0 for c in coords]
-        m = sum(mid)
-        if m >= 2:
-            return False
-        if m == 1:
-            for i in range(3):
-                c = coords[i]
-                if mid[i]:
-                    coords[i] = c - low_w
-                elif c < low_w:
-                    if c >= mid_w:
-                        return False
-                else:
-                    if c < side - mid_w:
-                        return False
-                    coords[i] = c - (side - mid_w)
-            n -= 2
-        else:
-            for i in range(3):
-                if coords[i] >= hi0:
-                    coords[i] -= hi0
-            n -= 1
-    return True
+    return _descend(n, (x, y, z))
 
 
 class Grid3D:
     """Dense cubic voxel field, bit-packed along x (MSB-first).
 
     Storage is indexed [z, y, packed-x]; iteration order for exports is
-    x fastest, then y, then z.  Packed padding bits past ``side`` are zero.
+    x fastest, then y, then z.  Packed padding bits past ``side`` are zero
+    (the constructor rejects others).
     """
 
     __slots__ = ("side", "level", "_planes")
@@ -73,6 +46,8 @@ class Grid3D:
         self.side = side
         self.level = level
         planes = np.ascontiguousarray(packed, dtype=np.uint8)
+        if side % 8 and (planes[:, :, -1] & (0xFF >> side % 8)).any():
+            raise ValueError(f"packed planes set padding bits past side {side}")
         planes.setflags(write=False)
         self._planes = planes
 
@@ -123,9 +98,7 @@ def _assemble_packed3(n: int, sub1: np.ndarray, sub2: np.ndarray | None) -> np.n
     slab at a time in unpacked booleans and repacks along x.
     """
     side = pell(n)
-    low_w = pell(n - 1)
-    mid_w = pell(n - 2)
-    hi0 = low_w + mid_w
+    low_w, hi0, mid_w, flush_hi = _BANDS[n]
     out = np.empty((side, side, (side + 7) // 8), dtype=np.uint8)
 
     corner = np.unpackbits(sub1, axis=2, count=low_w).astype(bool)
@@ -137,18 +110,18 @@ def _assemble_packed3(n: int, sub1: np.ndarray, sub2: np.ndarray | None) -> np.n
             slab[:, y0:y0 + low_w, x0:x0 + low_w] = corner
     if mid_w:
         # Edge blocks with x or y mid and z flush to the near face.
-        for y0 in (0, side - mid_w):
+        for y0 in (0, flush_hi):
             slab[:mid_w, y0:y0 + mid_w, low_w:hi0] = edge
-        for x0 in (0, side - mid_w):
+        for x0 in (0, flush_hi):
             slab[:mid_w, low_w:hi0, x0:x0 + mid_w] = edge
     out[:low_w] = np.packbits(slab, axis=2)
 
     if mid_w:
         # Same corners, edge blocks now flush to the far face.
-        for y0 in (0, side - mid_w):
+        for y0 in (0, flush_hi):
             slab[:mid_w, y0:y0 + mid_w, low_w:hi0] = False
             slab[low_w - mid_w:, y0:y0 + mid_w, low_w:hi0] = edge
-        for x0 in (0, side - mid_w):
+        for x0 in (0, flush_hi):
             slab[:mid_w, low_w:hi0, x0:x0 + mid_w] = False
             slab[low_w - mid_w:, low_w:hi0, x0:x0 + mid_w] = edge
     out[hi0:] = np.packbits(slab, axis=2)
@@ -156,8 +129,8 @@ def _assemble_packed3(n: int, sub1: np.ndarray, sub2: np.ndarray | None) -> np.n
     if mid_w:
         # z-mid slab: only the four edge blocks whose mid axis is z.
         mid_slab = np.zeros((mid_w, side, side), dtype=bool)
-        for y0 in (0, side - mid_w):
-            for x0 in (0, side - mid_w):
+        for y0 in (0, flush_hi):
+            for x0 in (0, flush_hi):
                 mid_slab[:, y0:y0 + mid_w, x0:x0 + mid_w] = edge
         out[low_w:hi0] = np.packbits(mid_slab, axis=2)
     return out

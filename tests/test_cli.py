@@ -1,11 +1,23 @@
 import io
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import pelljeru
 from pelljeru import N_MAX, build2d, build3d, export
 from pelljeru.cli import main
+
+# Child interpreters import the same pelljeru as this test session, also
+# from a checkout that is not installed.
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(pelljeru.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+    ),
+}
 
 
 def run_to_file(tmp_path, *args):
@@ -159,7 +171,7 @@ def test_module_entry_point(tmp_path):
     out = tmp_path / "p.pbm"
     proc = subprocess.run(
         [sys.executable, "-m", "pelljeru", "gen2d", "--n", "3", "--out", str(out)],
-        capture_output=True,
+        capture_output=True, env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert out.read_bytes() == expected_2d(3, "pbm_ascii")
@@ -169,7 +181,7 @@ def test_module_entry_point(tmp_path):
 def test_build_above_pell_cap_exits_1(command):
     proc = subprocess.run(
         [sys.executable, "-m", "pelljeru", command, "--n", "89", "--max-build", "100"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=CHILD_ENV,
     )
     assert proc.returncode == 1
     assert proc.stdout == ""
@@ -181,6 +193,6 @@ def test_build_above_pell_cap_exits_1(command):
 
 def test_numpy_is_the_only_runtime_dependency():
     code = "import pelljeru, sys; print(sorted({'scipy', 'mpmath'} & set(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"

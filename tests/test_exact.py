@@ -13,7 +13,10 @@ from pelljeru.exact import MAX_RASTER
 
 # disagreement cell counts between build2d(n) and the depth-(n-1) raster,
 # frozen from an oracle run (two independent implementations agreed)
-FROZEN_MISMATCHES = {2: 0, 3: 4, 4: 16, 5: 144, 6: 704, 7: 4176, 8: 21232}
+FROZEN_MISMATCHES = {
+    2: 0, 3: 4, 4: 16, 5: 144, 6: 704, 7: 4176, 8: 21232,
+    9: 112656, 10: 571264, 11: 2914656, 12: 14641904,
+}
 
 
 def centers(res):
@@ -76,7 +79,7 @@ def test_raster_small():
 
 
 def test_raster_matches_scalar():
-    for depth, res in ((0, 7), (2, 12), (3, 29), (5, 29)):
+    for depth, res in ((0, 7), (2, 12), (3, 29), (5, 29), (7, 70), (9, 100), (20, 41), (0, 1)):
         m = ExactModel(depth=depth)
         r = rasterize_exact(m, res)
         cs = centers(res)

@@ -187,6 +187,18 @@ def test_from_bool_array_validation():
         Grid2D.from_bool_array(np.ones((0, 0), dtype=bool))
 
 
+def test_nonzero_padding_bits_rejected():
+    # side 3 leaves five padding bits per row; 0xFF would count 24 cells
+    with pytest.raises(ValueError, match="padding"):
+        Grid2D(3, np.full((3, 1), 0xFF, dtype=np.uint8))
+    with pytest.raises(ValueError, match="padding"):
+        Grid2D(9, np.zeros((9, 2), dtype=np.uint8) | np.array([0, 0x01], dtype=np.uint8))
+    full = Grid2D(3, np.full((3, 1), 0xE0, dtype=np.uint8))
+    assert full == Grid2D.from_bool_array(np.ones((3, 3), dtype=bool))
+    assert full.filled_count() == 9
+    assert Grid2D(8, np.full((8, 1), 0xFF, dtype=np.uint8)).filled_count() == 64
+
+
 def test_subgrid_guards():
     g = build2d(4)
     with pytest.raises(CoordinateError):

@@ -7,6 +7,7 @@ from pelljeru import (
     MAX_BUILD_3D,
     BuildLimitError,
     CoordinateError,
+    Grid3D,
     N_MAX,
     build2d,
     build3d,
@@ -142,6 +143,15 @@ def test_build_above_pell_cap_is_an_index_error():
     for limit in (None, N_MAX + 12):
         with pytest.raises(PellIndexError, match=rf"outside \[1, {N_MAX}\]"):
             build3d(N_MAX + 1, max_build=limit)
+
+
+def test_nonzero_padding_bits_rejected():
+    # side 3 leaves five padding bits per x-row; 0xFF would count 72 voxels
+    with pytest.raises(ValueError, match="padding"):
+        Grid3D(3, np.full((3, 3, 1), 0xFF, dtype=np.uint8))
+    full = Grid3D(3, np.full((3, 3, 1), 0xE0, dtype=np.uint8))
+    assert full == Grid3D.from_bool_array(np.ones((3, 3, 3), dtype=bool))
+    assert full.filled_count() == 27
 
 
 def test_subgrid3_guards():
