@@ -146,6 +146,7 @@ def rasterize_exact(model: ExactModel, resolution: int, max_raster: int | None =
         for (mx, cu), (my, cv) in ((corner_u, corner_v), (mid_u, flush_v), (flush_u, mid_v)):
             if len(cu) and len(cv):
                 todo.append((depth - 1, xi[mx], cu, yi[my], cv))
+    out.setflags(write=False)  # handed over without a copy
     return Grid2D(resolution, out)
 
 

@@ -1,4 +1,4 @@
-"""Integer Jerusalem squares: band classifier, block builder, accessors.
+"""Integer Jerusalem squares: band classifier, product-descent builder, accessors.
 
 At level n the square of side ``pell(n)`` splits both axes into three bands
 of widths pell(n-1) / pell(n-2) / pell(n-1).  The four corner blocks hold
@@ -10,13 +10,16 @@ the filled unit square; level 0 is empty extent and is rejected outright.
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .pell import N_MAX, PellIndexError, pell
 
-# Dense-build memory guard: p_12 = 13860, about 24 MB bit-packed.
+# Dense-build memory guard: p_12 = 13860, about 24 MB bit-packed.  build2d(12)
+# peaks at 28 MiB traced, 23 MiB of it the packed result.
 MAX_BUILD_2D = 12
 
 
@@ -122,7 +125,10 @@ class Grid2D:
             raise ValueError(f"packed rows shape {packed_rows.shape} does not match side {side}")
         self.side = side
         self.level = level
-        rows = np.ascontiguousarray(packed_rows, dtype=np.uint8)
+        # A writeable input is copied, so the caller keeps a writeable array
+        # that cannot change the grid; a read-only one is kept as it is.
+        copy = packed_rows.flags.writeable or None
+        rows = np.array(packed_rows, dtype=np.uint8, order="C", copy=copy)
         if side % 8 and (rows[:, -1] & (0xFF >> side % 8)).any():
             raise ValueError(f"packed rows set padding bits past side {side}")
         rows.setflags(write=False)
@@ -172,45 +178,62 @@ class Grid2D:
         return f"Grid2D(side={self.side}{lvl}, filled={self.filled_count()})"
 
 
-def _assemble_packed(n: int, sub1: np.ndarray, sub2: np.ndarray | None) -> np.ndarray:
-    """Stamp the nine level-n block positions from packed sub-level rows.
+# Nodes at or below this level stamp a memoized boolean figure, which keeps the
+# many small nodes out of the Python loop: the largest level whose figure has
+# at most 2**15 cells (7 in 2D, 5 in 3D).
+_STAMP_LEVEL = {d: max(m for m in range(1, N_MAX) if pell(m) ** d <= 1 << 15) for d in (2, 3)}
 
-    sub1 holds level n-1 (the four corners), sub2 level n-2 (the four edge
-    blocks, flush to the outer boundary); the center stays blank.  Works in
-    unpacked band matrices and repacks row-wise.
+
+@functools.cache
+def _figure(m: int, d: int) -> np.ndarray:
+    """Boolean level-m figure on d axes, built by the descent from level 1 up."""
+    if m == 1:
+        return np.ones((1,) * d, dtype=bool)
+    return np.unpackbits(_product_descent(m, d), axis=-1, count=pell(m)).astype(bool)
+
+
+def _product_descent(n: int, d: int) -> np.ndarray:
+    """Read-only packed level-n figure on d axes, indexed [..., y, x], bits along x.
+
+    A node is a level and, per axis, the start offsets of the copies it stands
+    for; its copies are the product of those offsets.  A band step sends every
+    corner block into one level m-1 node (offsets a and a + hi0 on each axis)
+    and the edge blocks into d level m-2 nodes, mid on one axis (a + low_w)
+    and flush on the others (a and a + flush_hi); the rest is cross.  A node at
+    or below the stamp level packs its figure once at all its x offsets and
+    ORs that into one slice per offset on the other axes.  The root splits
+    unless it is level 1, so the stamped figures come from this loop too.
     """
     side = pell(n)
-    low_w, hi0, mid_w, flush_hi = _BANDS[n]
-    out = np.empty((side, (side + 7) // 8), dtype=np.uint8)
-
-    corner = np.unpackbits(sub1, axis=1, count=low_w).astype(bool)
-    edge = np.unpackbits(sub2, axis=1, count=mid_w).astype(bool) if mid_w else None
-
-    band = np.zeros((low_w, side), dtype=bool)
-    band[:, :low_w] = corner
-    band[:, hi0:] = corner
-    if mid_w:
-        band[:mid_w, low_w:hi0] = edge  # top edge block, flush to y = 0
-    out[:low_w] = np.packbits(band, axis=1)
-
-    if mid_w:
-        band[:mid_w, low_w:hi0] = False
-        band[low_w - mid_w:, low_w:hi0] = edge  # bottom edge block, flush to y = side
-    out[hi0:] = np.packbits(band, axis=1)
-
-    if mid_w:
-        mid_band = np.zeros((mid_w, side), dtype=bool)
-        mid_band[:, :mid_w] = edge  # left edge block
-        mid_band[:, flush_hi:] = edge  # right edge block
-        out[low_w:hi0] = np.packbits(mid_band, axis=1)
+    out = np.zeros((side,) * (d - 1) + ((side + 7) // 8,), dtype=np.uint8)
+    todo = [(n, [np.zeros(1, dtype=np.intp)] * d)]
+    while todo:
+        m, starts = todo.pop()
+        if m == 1 or m < n and m <= _STAMP_LEVEL[d]:
+            fig, s = _figure(m, d), pell(m)
+            xs = (starts[-1][:, None] + np.arange(s)).ravel()
+            lo = xs.min() >> 3
+            line = np.zeros(fig.shape[:-1] + (8 * ((xs.max() >> 3) + 1 - lo),), dtype=bool)
+            line[..., xs - 8 * lo] = np.tile(fig, len(starts[-1]))
+            packed = np.packbits(line, axis=-1)
+            cols = slice(lo, lo + packed.shape[-1])
+            for origin in itertools.product(*starts[:-1]):
+                out[tuple(slice(o, o + s) for o in origin) + (cols,)] |= packed
+            continue
+        low_w, hi0, mid_w, flush_hi = _BANDS[m]
+        todo.append((m - 1, [np.concatenate((a, a + hi0)) for a in starts]))
+        if mid_w:
+            mid = [a + low_w for a in starts]
+            flush = [np.concatenate((a, a + flush_hi)) for a in starts]
+            todo += [(m - 2, flush[:i] + [mid[i]] + flush[i + 1:]) for i in range(d)]
+    out.setflags(write=False)
     return out
 
 
 def build2d(n: int, max_build: int | None = None) -> Grid2D:
-    """Build the dense level-n grid by recursive block stamping.
+    """Build the dense level-n grid by product descent (see _product_descent).
 
-    Memoizes one packed grid per level (each level only needs the previous
-    two).  The result agrees cell-for-cell with contains2d.
+    The result agrees cell-for-cell with contains2d.
     """
     limit = MAX_BUILD_2D if max_build is None else max_build
     if not 1 <= n <= N_MAX:
@@ -219,11 +242,7 @@ def build2d(n: int, max_build: int | None = None) -> Grid2D:
         raise BuildLimitError(
             f"dense 2D build at level {n} exceeds the guard {limit}; raise max_build to override"
         )
-    prev2: np.ndarray | None = None
-    prev1 = np.array([[0x80]], dtype=np.uint8)  # level 1: one filled cell
-    for m in range(2, n + 1):
-        prev2, prev1 = prev1, _assemble_packed(m, prev1, prev2)
-    return Grid2D(pell(n), prev1, level=n)
+    return Grid2D(pell(n), _product_descent(n, 2), level=n)
 
 
 def subgrid(g: Grid2D, x0: int, y0: int, size: int, level: int | None = None) -> Grid2D:

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid2d import _BANDS, BuildLimitError, CoordinateError, Grid2D, _descend
+from .grid2d import BuildLimitError, CoordinateError, Grid2D, _descend, _product_descent
 from .pell import N_MAX, PellIndexError, pell
 
-# Dense-build memory guard: p_8 = 408, about 8.5 MB bit-packed.
+# Dense-build memory guard: p_8 = 408, about 8.5 MB bit-packed.  build3d(8)
+# peaks at 9 MiB traced and build3d(9) at 116 MiB, nearly all of it the result.
 MAX_BUILD_3D = 8
 
 
@@ -45,7 +46,8 @@ class Grid3D:
             raise ValueError(f"packed shape {packed.shape} does not match side {side}")
         self.side = side
         self.level = level
-        planes = np.ascontiguousarray(packed, dtype=np.uint8)
+        # Copied when writeable, as in Grid2D.
+        planes = np.array(packed, dtype=np.uint8, order="C", copy=packed.flags.writeable or None)
         if side % 8 and (planes[:, :, -1] & (0xFF >> side % 8)).any():
             raise ValueError(f"packed planes set padding bits past side {side}")
         planes.setflags(write=False)
@@ -71,7 +73,7 @@ class Grid3D:
         """The z = const plane as a 2D grid indexed (x, y)."""
         if not 0 <= z < self.side:
             raise CoordinateError(f"layer {z} outside [0, {self.side})")
-        return Grid2D(self.side, self._planes[z].copy())
+        return Grid2D(self.side, self._planes[z])
 
     def packed_planes(self) -> np.ndarray:
         return self._planes
@@ -91,53 +93,8 @@ class Grid3D:
         return f"Grid3D(side={self.side}{lvl}, filled={self.filled_count()})"
 
 
-def _assemble_packed3(n: int, sub1: np.ndarray, sub2: np.ndarray | None) -> np.ndarray:
-    """Stamp the 8 corner and 12 edge block positions of level n.
-
-    sub1/sub2 are packed level n-1 / n-2 voxel fields.  Assembles one z-band
-    slab at a time in unpacked booleans and repacks along x.
-    """
-    side = pell(n)
-    low_w, hi0, mid_w, flush_hi = _BANDS[n]
-    out = np.empty((side, side, (side + 7) // 8), dtype=np.uint8)
-
-    corner = np.unpackbits(sub1, axis=2, count=low_w).astype(bool)
-    edge = np.unpackbits(sub2, axis=2, count=mid_w).astype(bool) if mid_w else None
-
-    slab = np.zeros((low_w, side, side), dtype=bool)  # indexed [z, y, x]
-    for y0 in (0, hi0):
-        for x0 in (0, hi0):
-            slab[:, y0:y0 + low_w, x0:x0 + low_w] = corner
-    if mid_w:
-        # Edge blocks with x or y mid and z flush to the near face.
-        for y0 in (0, flush_hi):
-            slab[:mid_w, y0:y0 + mid_w, low_w:hi0] = edge
-        for x0 in (0, flush_hi):
-            slab[:mid_w, low_w:hi0, x0:x0 + mid_w] = edge
-    out[:low_w] = np.packbits(slab, axis=2)
-
-    if mid_w:
-        # Same corners, edge blocks now flush to the far face.
-        for y0 in (0, flush_hi):
-            slab[:mid_w, y0:y0 + mid_w, low_w:hi0] = False
-            slab[low_w - mid_w:, y0:y0 + mid_w, low_w:hi0] = edge
-        for x0 in (0, flush_hi):
-            slab[:mid_w, low_w:hi0, x0:x0 + mid_w] = False
-            slab[low_w - mid_w:, low_w:hi0, x0:x0 + mid_w] = edge
-    out[hi0:] = np.packbits(slab, axis=2)
-
-    if mid_w:
-        # z-mid slab: only the four edge blocks whose mid axis is z.
-        mid_slab = np.zeros((mid_w, side, side), dtype=bool)
-        for y0 in (0, flush_hi):
-            for x0 in (0, flush_hi):
-                mid_slab[:, y0:y0 + mid_w, x0:x0 + mid_w] = edge
-        out[low_w:hi0] = np.packbits(mid_slab, axis=2)
-    return out
-
-
 def build3d(n: int, max_build: int | None = None) -> Grid3D:
-    """Build the dense level-n voxel grid by recursive block stamping."""
+    """Build the dense level-n voxel grid by product descent (see grid2d._product_descent)."""
     limit = MAX_BUILD_3D if max_build is None else max_build
     if not 1 <= n <= N_MAX:
         raise PellIndexError(f"dense build level {n} outside [1, {N_MAX}]")
@@ -145,11 +102,7 @@ def build3d(n: int, max_build: int | None = None) -> Grid3D:
         raise BuildLimitError(
             f"dense 3D build at level {n} exceeds the guard {limit}; raise max_build to override"
         )
-    prev2: np.ndarray | None = None
-    prev1 = np.array([[[0x80]]], dtype=np.uint8)  # level 1: one filled voxel
-    for m in range(2, n + 1):
-        prev2, prev1 = prev1, _assemble_packed3(m, prev1, prev2)
-    return Grid3D(pell(n), prev1, level=n)
+    return Grid3D(pell(n), _product_descent(n, 3), level=n)
 
 
 def subgrid3(g: Grid3D, x0: int, y0: int, z0: int, size: int, level: int | None = None) -> Grid3D:

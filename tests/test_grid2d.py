@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from pelljeru import (
     band_of,
     build2d,
     contains2d,
+    count2d_recurrence,
     corner_subgrid,
     PellIndexError,
     pell,
@@ -26,6 +29,23 @@ P3_CELLS = np.array([
     [1, 1, 0, 1, 1],
     [1, 1, 1, 1, 1],
 ], dtype=bool)
+
+# Frozen sha256 of build2d(n).packed_rows() for every level up to the guard;
+# every byte of the packed rows is pinned, padding included.
+FROZEN_SHA256 = {
+    1: "76be8b528d0075f7aae98d6fa57a6d3c83ae480a8469e668d7b0af968995ac71",
+    2: "924d46482608156796c55cf9f59843a261c720c001d9859321523ca9c794151e",
+    3: "2af38b4f1f943a85093a343147768f5754ff08e4335b57f7c425ed45f032291b",
+    4: "9063eb877dbd10e701e67cee8fb0c5a4ccc02a3a3feb33003711ab5f4ff93c39",
+    5: "cf10f91b8e2f2d4521c2887c32dbab104c1d9d7aea9950a579c533feeef73560",
+    6: "e90438e682adb6ffa46abd2659ec22a32150b13329c0c338b81b22966a942193",
+    7: "59b74e5b018e85bad191e5bea0a1a5bbb6c77c70c5319e907206883c2934d069",
+    8: "415d87f2d3bcad6c9dbfb305a41a10ce669c61f8b2d30f20ff701caf5af94f92",
+    9: "5665960ff1c4cfa52b0d9efcd736263e20d7284c196dfbfdd35ef94796c730ad",
+    10: "05ab4ba07bd9a2521c1d62a962f154feb798b90d9d9312d0b654bfa6a05d4b3d",
+    11: "2c94a270ff8235bfbbf43f4419c4c89448f7e4babefde77d9f874eaf603f7a47",
+    12: "905e08e0e79b436e11e74f1fc8b0061664a7852f3a2e2fdc971554f786630ef7",
+}
 
 
 def test_band_of():
@@ -109,7 +129,7 @@ def test_symmetry():
 
 
 def test_self_similarity_corners_and_edges():
-    for n in range(3, 7):
+    for n in range(3, 11):
         g = build2d(n)
         sub1 = build2d(n - 1)
         sub2 = build2d(n - 2)
@@ -147,11 +167,26 @@ def test_top_level_cross_geometry():
 
 
 def test_filled_counts_recurrence():
-    counts = {n: build2d(n).filled_count() for n in range(1, 8)}
+    counts = {n: build2d(n).filled_count() for n in range(1, MAX_BUILD_2D + 1)}
     assert counts[1] == 1 and counts[2] == 4
-    for n in range(3, 8):
+    for n in range(3, MAX_BUILD_2D + 1):
         assert counts[n] == 4 * counts[n - 1] + 4 * counts[n - 2]
-    assert counts[3] == 20
+    assert counts == {n: count2d_recurrence(n) for n in counts}
+    assert counts[3] == 20 and counts[12] == 28385280
+
+
+def test_build_digests_frozen():
+    for n, digest in FROZEN_SHA256.items():
+        assert hashlib.sha256(build2d(n).packed_rows().tobytes()).hexdigest() == digest, n
+
+
+def test_build_matches_classifier_sample_at_guard():
+    g = build2d(12)
+    x, y = np.random.default_rng(12).integers(0, g.side, size=(2, 20000))
+    got = (g.packed_rows()[y, x >> 3] >> (7 - (x & 7))) & 1
+    ref = [contains2d(12, int(a), int(b)) for a, b in zip(x, y)]
+    assert got.astype(bool).tolist() == ref
+    assert 0 < sum(ref) < len(ref)
 
 
 def test_grid_storage_and_access():
@@ -209,6 +244,16 @@ def test_subgrid_guards():
         corner_subgrid(build2d(1), "NW")
     with pytest.raises(ValueError):
         corner_subgrid(g, "north")
+
+
+def test_constructor_leaves_caller_array_writeable():
+    a = np.full((3, 1), 0xE0, dtype=np.uint8)
+    g = Grid2D(3, a)
+    a[0, 0] = 0  # the grid holds its own copy
+    assert a.flags.writeable
+    assert g.filled_count() == 9
+    frozen = build2d(5).packed_rows()
+    assert Grid2D(29, frozen).packed_rows() is frozen  # read-only input is not copied
 
 
 def test_rows_read_only():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -12,6 +13,7 @@ from pelljeru import (
     build2d,
     build3d,
     contains3d,
+    count3d_recurrence,
     PellIndexError,
     pell,
     subgrid3,
@@ -29,6 +31,20 @@ LEVEL3_VOXELS = {
     (3, 3, 3), (4, 3, 3), (0, 4, 3), (1, 4, 3), (3, 4, 3), (4, 4, 3), (0, 0, 4), (1, 0, 4), (2, 0, 4), (3, 0, 4),
     (4, 0, 4), (0, 1, 4), (1, 1, 4), (3, 1, 4), (4, 1, 4), (0, 2, 4), (4, 2, 4), (0, 3, 4), (1, 3, 4), (3, 3, 4),
     (4, 3, 4), (0, 4, 4), (1, 4, 4), (2, 4, 4), (3, 4, 4), (4, 4, 4),
+}
+
+# Frozen sha256 of build3d(n, max_build=9).packed_planes() for n = 1..9, one
+# level past the guard; every byte is pinned, padding included.
+FROZEN_SHA256 = {
+    1: "76be8b528d0075f7aae98d6fa57a6d3c83ae480a8469e668d7b0af968995ac71",
+    2: "9de1ee39e1f56d88108b62c11f5fddf01d87615258f8318898311ebf65f03941",
+    3: "c48f9d9e5223309d1ec3059c10cb600b7d739426e9a69a478b2805dc86e36edb",
+    4: "5a985bed74b06db84d97a9b32666e02e5439544bd055013555aad3e91ac38fcc",
+    5: "c6fee6cec01a76202ff5beb3decf34ec992fb351011e6ac057de3a7212465e69",
+    6: "1f502fc4bd443c95b918ff4a30a9d0ee7aecddcba8bb5b6615aaf127d513d2e4",
+    7: "a7f5a74fbc5b809b55be21fd101b3fe83d7d49aec19b1dcee8612c9ac2eacf12",
+    8: "973a3200e80887487525092a89100456689d8d0e42af78780db985a866377138",
+    9: "96367a102a9d59db8c42d9bd4299b1eac96a766a09d950901d8d777718f9d149",
 }
 
 
@@ -80,7 +96,7 @@ def test_octahedral_symmetry():
 
 
 def test_self_similarity():
-    for n in range(3, 6):
+    for n in range(3, 8):
         g = build3d(n)
         s = g.side
         sub1, sub2 = build3d(n - 1), build3d(n - 2)
@@ -98,10 +114,27 @@ def test_self_similarity():
 
 
 def test_counts_recurrence():
-    counts = {n: build3d(n).filled_count() for n in range(1, 6)}
+    counts = {n: build3d(n, max_build=9).filled_count() for n in range(1, 10)}
     assert counts[1] == 1 and counts[2] == 8
-    for n in range(3, 6):
+    for n in range(3, 10):
         assert counts[n] == 8 * counts[n - 1] + 12 * counts[n - 2]
+    assert counts == {n: count3d_recurrence(n) for n in counts}
+    assert counts[9] == 48771328
+
+
+def test_build_digests_frozen():
+    for n, digest in FROZEN_SHA256.items():
+        planes = build3d(n, max_build=9).packed_planes()
+        assert hashlib.sha256(planes.tobytes()).hexdigest() == digest, n
+
+
+def test_build_matches_classifier_sample_past_guard():
+    g = build3d(9, max_build=9)
+    x, y, z = np.random.default_rng(9).integers(0, g.side, size=(3, 20000))
+    got = (g.packed_planes()[z, y, x >> 3] >> (7 - (x & 7))) & 1
+    ref = [contains3d(9, int(a), int(b), int(c)) for a, b, c in zip(x, y, z)]
+    assert got.astype(bool).tolist() == ref
+    assert 0 < sum(ref) < len(ref)
 
 
 def test_boundary_faces_equal_2d():
@@ -152,6 +185,16 @@ def test_nonzero_padding_bits_rejected():
     full = Grid3D(3, np.full((3, 3, 1), 0xE0, dtype=np.uint8))
     assert full == Grid3D.from_bool_array(np.ones((3, 3, 3), dtype=bool))
     assert full.filled_count() == 27
+
+
+def test_constructor_leaves_caller_array_writeable():
+    a = np.full((3, 3, 1), 0xE0, dtype=np.uint8)
+    g = Grid3D(3, a)
+    a[0, 0, 0] = 0  # the grid holds its own copy
+    assert a.flags.writeable
+    assert g.filled_count() == 27
+    frozen = build3d(4).packed_planes()
+    assert Grid3D(12, frozen).packed_planes() is frozen  # read-only input is not copied
 
 
 def test_subgrid3_guards():
