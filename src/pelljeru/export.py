@@ -7,6 +7,8 @@ the same grid always produces the same file byte for byte.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .grid2d import Grid2D
@@ -14,6 +16,13 @@ from .grid3d import Grid3D
 
 FORMATS_2D = ("pbm_ascii", "pbm_binary", "svg", "csv")
 FORMATS_3D = ("xyz_text", "obj_mesh")
+# Lines formatted per chunk of the text writers: large enough that the Python
+# work per line is one slot of a tuple, small enough that no writer holds its
+# whole output in memory.
+_BLOCK = 4096
+# ASCII whitespace, the bytes that bytes.split() and bytes.isspace() see
+_SPACE = np.zeros(256, dtype=bool)
+_SPACE[list(b" \t\n\v\f\r")] = True
 
 
 def _emit(sink, chunks) -> int:
@@ -22,6 +31,13 @@ def _emit(sink, chunks) -> int:
         sink.write(chunk)
         total += len(chunk)
     return total
+
+
+def _lines(fmt: bytes, table: np.ndarray):
+    """One line per table row; each block of lines is a single %-format."""
+    for i in range(0, len(table), _BLOCK):
+        block = table[i:i + _BLOCK]
+        yield (fmt * len(block)) % tuple(block.ravel().tolist())
 
 
 def _text_rows(grid: Grid2D, sep: bytes):
@@ -40,9 +56,10 @@ def _pbm_ascii_chunks(grid: Grid2D):
 
 
 def _pbm_binary_chunks(grid: Grid2D):
-    # P4 packs rows MSB-first with zero padding, exactly our storage layout.
+    # P4 packs rows MSB-first with zero padding, exactly our storage layout,
+    # so the read-only rows go out as they are, without a copy.
     yield f"P4\n{grid.side} {grid.side}\n".encode("ascii")
-    yield grid.packed_rows().tobytes()
+    yield memoryview(grid.packed_rows()).cast("B")
 
 
 def _svg_chunks(grid: Grid2D):
@@ -50,11 +67,9 @@ def _svg_chunks(grid: Grid2D):
     yield (
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {s} {s}">\n'
     ).encode("ascii")
-    cells = grid.to_bool_array()
-    for y in range(s):
-        xs = np.nonzero(cells[y])[0]
-        for x in xs:
-            yield f'<rect x="{x}" y="{y}" width="1" height="1" fill="black"/>\n'.encode("ascii")
+    # argwhere walks [y, x] in C order: row-major rects
+    yx = np.argwhere(grid.to_bool_array())
+    yield from _lines(b'<rect x="%d" y="%d" width="1" height="1" fill="black"/>\n', yx[:, ::-1])
     yield b"</svg>\n"
 
 
@@ -72,10 +87,8 @@ def write2d(grid: Grid2D, fmt: str, sink) -> int:
 
 
 def _xyz_chunks(grid: Grid3D):
-    occ = grid.to_bool_array()
     # argwhere on [z, y, x] walks in C order, so lines come out sorted (z, y, x)
-    for z, y, x in np.argwhere(occ):
-        yield f"{x} {y} {z}\n".encode("ascii")
+    return _lines(b"%d %d %d\n", np.argwhere(grid.to_bool_array())[:, ::-1])
 
 
 # Quad corner offsets per face direction, wound counterclockwise as seen from
@@ -88,49 +101,44 @@ _FACE_TABLE = (
     (((0, 0, 0), (0, 1, 0), (1, 1, 0), (1, 0, 0)), (0, 0, -1)),
     (((0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)), (0, 0, 1)),
 )
+_CORNERS = np.array([corners for corners, _ in _FACE_TABLE])
+_NORMALS = np.array([normal for _, normal in _FACE_TABLE])
 
 
 def surface_mesh(grid: Grid3D):
     """Boundary faces of the filled voxels as (vertices, triangles).
 
-    Vertices are integer (x, y, z) triples in first-seen order; triangles are
-    0-based index triples wound counterclockwise from outside.  Only faces
-    between a filled voxel and an empty or out-of-bounds neighbor appear, so
-    the mesh is exactly the solid's surface.
+    Returns integer arrays: vertices (V, 3) of (x, y, z) in first-seen order,
+    and triangles (T, 3) of 0-based vertex indices wound counterclockwise
+    from outside.  Faces come voxel by voxel in (z, y, x) order, two
+    triangles each.  Only faces between a filled voxel and an empty or
+    out-of-bounds neighbor appear, so the mesh is exactly the solid's surface.
     """
-    occ = grid.to_bool_array()
     s = grid.side
     padded = np.zeros((s + 2, s + 2, s + 2), dtype=bool)
-    padded[1:-1, 1:-1, 1:-1] = occ
-    vert_index: dict[tuple[int, int, int], int] = {}
-    verts: list[tuple[int, int, int]] = []
-    tris: list[tuple[int, int, int]] = []
-
-    def vid(p):
-        i = vert_index.get(p)
-        if i is None:
-            i = len(verts)
-            vert_index[p] = i
-            verts.append(p)
-        return i
-
-    for z, y, x in np.argwhere(occ):
-        x, y, z = int(x), int(y), int(z)
-        for corners, (dx, dy, dz) in _FACE_TABLE:
-            if padded[z + 1 + dz, y + 1 + dy, x + 1 + dx]:
-                continue
-            ids = [vid((x + cx, y + cy, z + cz)) for cx, cy, cz in corners]
-            tris.append((ids[0], ids[1], ids[2]))
-            tris.append((ids[0], ids[2], ids[3]))
-    return verts, tris
+    padded[1:-1, 1:-1, 1:-1] = grid.to_bool_array()
+    # A point's key is its flat index in the padded array: a voxel's own, and
+    # a corner's that of the voxel whose low corner it is.
+    m = s + 2
+    weights = (1, m, m * m)
+    flat = padded.ravel()
+    cell = np.flatnonzero(flat)
+    voxel, face = np.nonzero(~flat[cell[:, None] + _NORMALS @ weights])
+    keys = (cell[voxel, None] + (_CORNERS @ weights)[face]).ravel()
+    uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    # unique numbers the vertices by key; rank renumbers them by first appearance
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    key = uniq[order]
+    verts = np.stack([key % m, key // m % m, key // (m * m)], axis=1) - 1
+    return verts, rank[inverse].reshape(-1, 4)[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3)
 
 
 def _obj_chunks(grid: Grid3D):
     verts, tris = surface_mesh(grid)
-    for x, y, z in verts:
-        yield f"v {x} {y} {z}\n".encode("ascii")
-    for a, b, c in tris:
-        yield f"f {a + 1} {b + 1} {c + 1}\n".encode("ascii")
+    yield from _lines(b"v %d %d %d\n", verts)
+    yield from _lines(b"f %d %d %d\n", tris + 1)
 
 
 def write3d(grid: Grid3D, fmt: str, sink) -> int:
@@ -151,63 +159,52 @@ def write(grid, fmt: str, sink) -> int:
     raise TypeError(f"expected Grid2D or Grid3D, got {type(grid).__name__}")
 
 
-def _pbm_tokens(data: bytes):
-    # whitespace-separated tokens with '#' comments running to end of line
-    i, n = 0, len(data)
-    while i < n:
-        c = data[i:i + 1]
-        if c == b"#":
-            while i < n and data[i:i + 1] != b"\n":
-                i += 1
-        elif c.isspace():
-            i += 1
-        else:
-            j = i
-            while j < n and not data[j:j + 1].isspace() and data[j:j + 1] != b"#":
-                j += 1
-            yield data[i:j]
-            i = j
-
-
 def read_pbm_ascii(data: bytes) -> Grid2D:
-    """Parse a plain (P1) bitmap back into a grid."""
-    toks = _pbm_tokens(data)
-    magic = next(toks, None)
+    """Parse a plain (P1) bitmap back into a grid.
+
+    Tokens are separated by ASCII whitespace, a '#' comment runs to the end
+    of its line anywhere in the stream, and bits may run together, as P1
+    allows.  Width and height are read with int().
+    """
+    if b"#" in data:
+        data = re.sub(rb"#[^\n]*", b"", data)
+    parts = data.split(maxsplit=3)
+    magic = parts[0] if parts else None
     if magic != b"P1":
         raise ValueError(f"not a plain PBM stream (magic {magic!r})")
     try:
-        width = int(next(toks))
-        height = int(next(toks))
-    except (StopIteration, ValueError):
+        width, height = int(parts[1]), int(parts[2])
+    except (IndexError, ValueError):
         raise ValueError("malformed PBM header") from None
     if width != height or width < 1:
         raise ValueError(f"expected square bitmap, got {width}x{height}")
-    bits = []
-    for t in toks:
-        # P1 allows digits to run together; treat each character as a bit
-        for ch in t:
-            b = ch - 48
-            if b not in (0, 1):
-                raise ValueError(f"bad PBM bit {chr(ch)!r}")
-            bits.append(b)
+    body = np.frombuffer(parts[3] if len(parts) > 3 else b"", dtype=np.uint8)
+    body = body[~_SPACE[body]]
+    bits = body - 48
+    bad = bits > 1
+    if bad.any():
+        raise ValueError(f"bad PBM bit {chr(body[bad.argmax()])!r}")
     if len(bits) != width * height:
         raise ValueError(f"expected {width * height} bits, got {len(bits)}")
-    cells = np.array(bits, dtype=bool).reshape(height, width)
-    return Grid2D.from_bool_array(cells)
+    return Grid2D(width, np.packbits(bits.reshape(height, width), axis=1))
 
 
 def read_csv(data: bytes) -> Grid2D:
-    """Parse comma-separated 0/1 rows back into a grid."""
-    rows = []
-    for line in data.decode("ascii").splitlines():
-        if not line.strip():
-            continue
-        rows.append([int(v) for v in line.split(",")])
+    """Parse comma-separated 0/1 rows back into a grid.
+
+    Rows end in '\\n' or '\\r\\n' (the last may end the data instead), and
+    lines that hold only whitespace are skipped.  Each cell is exactly one
+    '0' or '1' with a single comma between cells: spaces, signs, leading
+    zeros and underscores in a cell raise ValueError.
+    """
+    rows = [row for row in data.replace(b"\r\n", b"\n").split(b"\n") if row.strip()]
     if not rows:
         raise ValueError("empty CSV stream")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows) or len(rows) != width:
+    side = len(rows)
+    if any(len(row) != 2 * side - 1 for row in rows):
         raise ValueError("CSV rows do not form a square")
-    if any(v not in (0, 1) for r in rows for v in r):
-        raise ValueError("CSV cells must be 0 or 1")
-    return Grid2D.from_bool_array(np.array(rows, dtype=bool))
+    table = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(side, 2 * side - 1)
+    bits = table[:, ::2] - 48
+    if (bits > 1).any() or (table[:, 1::2] != ord(",")).any():
+        raise ValueError("CSV cells must be 0 or 1, separated by single commas")
+    return Grid2D(side, np.packbits(bits, axis=1))

@@ -106,6 +106,20 @@ def contains2d(n: int, x: int, y: int) -> bool:
     return _descend(n, (x, y))
 
 
+def _popcount(rows: np.ndarray, other: np.ndarray | None = None) -> int:
+    """Set bits of rows, or of rows ^ other, summed over blocks of rows.
+
+    The blocks keep the XOR and popcount temporaries near 1 MiB; whole-array
+    ones would be two more copies of a level-12 grid.
+    """
+    step = max(1, (1 << 20) // rows.shape[1])
+    total = 0
+    for i in range(0, len(rows), step):
+        block = rows[i:i + step] if other is None else rows[i:i + step] ^ other[i:i + step]
+        total += int(np.bitwise_count(block).sum())
+    return total
+
+
 class Grid2D:
     """Dense square bitmap with bit-packed rows (MSB-first, PBM P4 layout).
 
@@ -158,13 +172,13 @@ class Grid2D:
         return self._rows
 
     def filled_count(self) -> int:
-        return int(np.bitwise_count(self._rows).sum())
+        return _popcount(self._rows)
 
     def difference_count(self, other: "Grid2D") -> int:
         """Number of cells on which the two grids differ."""
         if self.side != other.side:
             raise ValueError(f"grid sides differ: {self.side} vs {other.side}")
-        return int(np.bitwise_count(self._rows ^ other._rows).sum())
+        return _popcount(self._rows, other._rows)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Grid2D):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid2d import BuildLimitError, CoordinateError, Grid2D, _descend, _product_descent
+from .grid2d import BuildLimitError, CoordinateError, Grid2D, _descend, _popcount, _product_descent
 from .pell import N_MAX, PellIndexError, pell
 
 # Dense-build memory guard: p_8 = 408, about 8.5 MB bit-packed.  build3d(8)
@@ -79,7 +79,7 @@ class Grid3D:
         return self._planes
 
     def filled_count(self) -> int:
-        return int(np.bitwise_count(self._planes).sum())
+        return _popcount(self._planes.reshape(-1, self._planes.shape[2]))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Grid3D):
