@@ -8,7 +8,8 @@ with the integer grid at level n (level 1 is the unremoved unit square) only
 along corner copies, which sit at level n-1.  The grid's edge blocks sit at
 level n-2, so inside each edge copy the model removes one round of crosses
 more than the grid does.  The cells alive in any copy form a product X x Y of
-column and row centers, so the raster descends such products, not cells.
+column and row centers, so the raster descends such products, not cells,
+all products of one depth together.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import numpy as np
 from .grid2d import Grid2D, build2d
 from .pell import INVERSE_SILVER
 
-# Raster guard at p_12 = 13860: the depth-11 raster there takes 0.2-0.3 s on
-# one core and peaks at 27 MiB traced, 24 MB of it the packed result.
+# Raster guard at p_12 = 13860: the depth-11 raster there takes 55-65 ms on
+# one core and peaks at 29 MiB traced, 24 MB of it the packed result.
 MAX_RASTER = 13860
 
 
@@ -122,7 +123,13 @@ def rasterize_exact(model: ExactModel, resolution: int, max_raster: int | None =
 
     A band step splits each axis of a product once and descends into three
     products: corner x corner, mid x flush and flush x mid (the rest is cross).
-    A product that reaches depth 0 ORs one packed column mask into its rows.
+    The descent runs one depth at a time.  Both axes start from the same
+    centers, so an axis array is a path of corner/mid/flush choices shared by
+    both axes: one flat array holds the cell indices, centers and path ids of
+    all live paths, one _split per depth steps them, and path p's children are
+    3p, 3p + 1 and 3p + 2.  Live products are (u path, v path) rows of a node
+    table; rows with an empty path and paths no row uses are dropped.  Each
+    leaf row ORs one packed column mask into its rows.
     """
     limit = MAX_RASTER if max_raster is None else max_raster
     if resolution < 1:
@@ -131,21 +138,34 @@ def rasterize_exact(model: ExactModel, resolution: int, max_raster: int | None =
         raise ValueError(f"resolution {resolution} exceeds the dense-grid guard {limit}")
     index = np.arange(resolution)
     centers = (index + 0.5) / resolution
+    path = np.zeros(resolution, dtype=np.intp)
+    nodes = np.zeros((1, 2), dtype=np.intp)
+    paths = 1
+    for _ in range(model.depth):
+        if not len(nodes):
+            break  # every product has emptied out
+        parts = _split(model.k, centers)
+        index = np.concatenate([index[m] for m, _ in parts])
+        centers = np.concatenate([c for _, c in parts])
+        path = np.concatenate([3 * path[m] + j for j, (m, _) in enumerate(parts)])
+        # path 3p + j is the corner (0), mid (1) or flush (2) part of path p
+        nodes = (3 * nodes[:, None] + [[0, 0], [1, 2], [2, 1]]).reshape(-1, 2)
+        nodes = nodes[(np.bincount(path, minlength=3 * paths)[nodes] > 0).all(axis=1)]
+        used = np.zeros(3 * paths, dtype=bool)
+        used[nodes] = True
+        keep = used[path]
+        rank = np.cumsum(used) - 1  # a plain np.unique would import numpy.ma
+        index, centers, path, nodes = index[keep], centers[keep], rank[path[keep]], rank[nodes]
+        paths = int(used.sum())
+    index = index[np.argsort(path, kind="stable")]
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(path, minlength=paths)))).tolist()
     out = np.zeros((resolution, (resolution + 7) // 8), dtype=np.uint8)
-    todo = [(model.depth, index, centers, index, centers)]
-    while todo:
-        depth, xi, u, yi, v = todo.pop()
-        if depth == 0:
-            lo = xi[0] >> 3
-            mask = np.zeros(8 * ((xi[-1] >> 3) + 1 - lo), dtype=bool)
-            mask[xi - 8 * lo] = True
-            out[yi, lo:lo + len(mask) // 8] |= np.packbits(mask)
-            continue
-        corner_u, mid_u, flush_u = _split(model.k, u)
-        corner_v, mid_v, flush_v = _split(model.k, v)
-        for (mx, cu), (my, cv) in ((corner_u, corner_v), (mid_u, flush_v), (flush_u, mid_v)):
-            if len(cu) and len(cv):
-                todo.append((depth - 1, xi[mx], cu, yi[my], cv))
+    for u, v in nodes.tolist():
+        xi, yi = index[bounds[u]:bounds[u + 1]], index[bounds[v]:bounds[v + 1]]
+        lo = xi[0] >> 3
+        mask = np.zeros(8 * ((xi[-1] >> 3) + 1 - lo), dtype=bool)
+        mask[xi - 8 * lo] = True
+        out[yi, lo:lo + len(mask) // 8] |= np.packbits(mask)
     out.setflags(write=False)  # handed over without a copy
     return Grid2D(resolution, out)
 

@@ -162,10 +162,10 @@ class Grid2D:
 
     def row_bits(self, y: int) -> np.ndarray:
         """Unpacked boolean row y (length side)."""
-        return np.unpackbits(self._rows[y], count=self.side).astype(bool)
+        return np.unpackbits(self._rows[y], count=self.side).view(bool)
 
     def to_bool_array(self) -> np.ndarray:
-        return np.unpackbits(self._rows, axis=1, count=self.side).astype(bool)
+        return np.unpackbits(self._rows, axis=1, count=self.side).view(bool)
 
     def packed_rows(self) -> np.ndarray:
         """Read-only (side, ceil(side/8)) uint8 rows, MSB leftmost."""
@@ -203,7 +203,7 @@ def _figure(m: int, d: int) -> np.ndarray:
     """Boolean level-m figure on d axes, built by the descent from level 1 up."""
     if m == 1:
         return np.ones((1,) * d, dtype=bool)
-    return np.unpackbits(_product_descent(m, d), axis=-1, count=pell(m)).astype(bool)
+    return np.unpackbits(_product_descent(m, d), axis=-1, count=pell(m)).view(bool)
 
 
 def _product_descent(n: int, d: int) -> np.ndarray:

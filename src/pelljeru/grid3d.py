@@ -67,7 +67,7 @@ class Grid3D:
 
     def to_bool_array(self) -> np.ndarray:
         """Boolean voxels indexed [z, y, x]."""
-        return np.unpackbits(self._planes, axis=2, count=self.side).astype(bool)
+        return np.unpackbits(self._planes, axis=2, count=self.side).view(bool)
 
     def layer(self, z: int) -> Grid2D:
         """The z = const plane as a 2D grid indexed (x, y)."""

@@ -192,7 +192,11 @@ def test_build_above_pell_cap_exits_1(command):
 
 
 def test_numpy_is_the_only_runtime_dependency():
-    code = "import pelljeru, sys; print(sorted({'scipy', 'mpmath'} & set(sys.modules)))"
+    # numpy.ma too: a plain np.unique imports it on first call, 15-30 ms of a first discrepancy
+    code = (
+        "import pelljeru, sys; pelljeru.discrepancy(6); "
+        "print(sorted({'scipy', 'mpmath', 'numpy.ma'} & set(sys.modules)))"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
