@@ -8,6 +8,8 @@ outer boundary, and a removed central cross; the 3D analog uses 8 corner and
 fractal, and this package measures how well.
 """
 
+import importlib
+
 from .pell import (
     N_MAX,
     SILVER_RATIO,
@@ -18,33 +20,6 @@ from .pell import (
     ratio_diagnostic,
     verify_recurrence,
 )
-from .grid2d import (
-    MAX_BUILD_2D,
-    Band,
-    BandKind,
-    BuildLimitError,
-    CoordinateError,
-    Grid2D,
-    band_of,
-    build2d,
-    contains2d,
-    corner_subgrid,
-    subgrid,
-)
-from .grid3d import (
-    MAX_BUILD_3D,
-    Grid3D,
-    build3d,
-    contains3d,
-    subgrid3,
-)
-from .exact import (
-    ExactModel,
-    UnitPoint,
-    discrepancy,
-    exact_contains,
-    rasterize_exact,
-)
 from .metrics import (
     DimensionEstimate,
     MetricsReport,
@@ -54,7 +29,28 @@ from .metrics import (
     dim_estimate,
     report,
 )
-from . import export
+
+# Names whose modules import numpy: each module loads on first use of one of
+# its names.  Resolved names are not cached in this namespace, so a name
+# rebound in its module (a tracing wrapper, say) is seen here, and so is
+# its removal.
+_LAZY_NAMES = {
+    "grid2d": ("MAX_BUILD_2D", "Band", "BandKind", "BuildLimitError", "CoordinateError",
+               "Grid2D", "band_of", "build2d", "contains2d", "corner_subgrid", "subgrid"),
+    "grid3d": ("MAX_BUILD_3D", "Grid3D", "build3d", "contains3d", "subgrid3"),
+    "exact": ("ExactModel", "UnitPoint", "discrepancy", "exact_contains", "rasterize_exact"),
+    "export": (),
+}
+_LAZY = {name: module for module, names in _LAZY_NAMES.items() for name in (module, *names)}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    found = importlib.import_module(f".{module}", __name__)
+    return found if name == module else getattr(found, name)
+
 
 __version__ = "0.1.0"
 

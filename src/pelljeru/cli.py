@@ -12,10 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import export
-from .exact import discrepancy
-from .grid2d import BuildLimitError, CoordinateError, build2d
-from .grid3d import build3d
+from .formats import FORMATS_2D, FORMATS_3D
 from .metrics import MetricsReport, report
 from .pell import N_MAX, PellIndexError, pell, ratio_diagnostic
 
@@ -29,13 +26,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p2 = sub.add_parser("gen2d", help="build a square grid and serialize it")
     p2.add_argument("--n", type=int, required=True, help="construction level (side = nth Pell number)")
-    p2.add_argument("--format", choices=export.FORMATS_2D, default="pbm_ascii")
+    p2.add_argument("--format", choices=FORMATS_2D, default="pbm_ascii")
     p2.add_argument("--out", default="-", help="output path, - for stdout")
     p2.add_argument("--max-build", type=int, default=None, help="override the dense-build level guard")
 
     p3 = sub.add_parser("gen3d", help="build a cube grid and serialize it")
     p3.add_argument("--n", type=int, required=True)
-    p3.add_argument("--format", choices=export.FORMATS_3D, default="xyz_text")
+    p3.add_argument("--format", choices=FORMATS_3D, default="xyz_text")
     p3.add_argument("--out", default="-")
     p3.add_argument("--max-build", type=int, default=None)
 
@@ -104,21 +101,18 @@ def _pell_table(up_to: int, style: str) -> str:
 
 
 def _run(args) -> bytes | None:
-    """Produce the payload for one command as bytes; None means already written."""
-    if args.command == "gen2d":
-        grid = build2d(args.n, max_build=args.max_build)
+    """Produce the payload for one command as bytes; None means already written.
+
+    Only the commands that build a grid import the numpy modules.
+    """
+    if args.command in ("gen2d", "gen3d"):
+        from . import export, grid2d, grid3d
+        build, write = ((grid2d.build2d, export.write2d) if args.command == "gen2d"
+                        else (grid3d.build3d, export.write3d))
+        grid = build(args.n, max_build=args.max_build)
         sink, close = _open_sink(args.out)
         try:
-            export.write2d(grid, args.format, sink)
-        finally:
-            if close:
-                sink.close()
-        return None
-    if args.command == "gen3d":
-        grid = build3d(args.n, max_build=args.max_build)
-        sink, close = _open_sink(args.out)
-        try:
-            export.write3d(grid, args.format, sink)
+            write(grid, args.format, sink)
         finally:
             if close:
                 sink.close()
@@ -133,7 +127,7 @@ def _run(args) -> bytes | None:
         else:
             text = rep.to_text()
         return text.encode("ascii")
-    # compare
+    from .exact import discrepancy  # compare
     if args.sweep is not None:
         lo, hi = _parse_sweep(args.sweep)
         lines = [f"{m} {discrepancy(m, max_build=args.max_build)!r}" for m in range(lo, hi + 1)]
@@ -145,7 +139,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         payload = _run(args)
-    except (PellIndexError, BuildLimitError, CoordinateError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # every error class here is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if payload is not None:

@@ -11,11 +11,9 @@ import re
 
 import numpy as np
 
+from .formats import FORMATS_2D, FORMATS_3D
 from .grid2d import Grid2D
 from .grid3d import Grid3D
-
-FORMATS_2D = ("pbm_ascii", "pbm_binary", "svg", "csv")
-FORMATS_3D = ("xyz_text", "obj_mesh")
 # Lines formatted per chunk of the text writers: large enough that the Python
 # work per line is one slot of a tuple, small enough that no writer holds its
 # whole output in memory.

@@ -191,6 +191,59 @@ def test_build_above_pell_cap_exits_1(command):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [["compare", "--n", "13"], ["metrics", "--n", "13", "--discrepancy"]])
+def test_guard_errors_from_lazy_imports_exit_1(argv):
+    # a fresh interpreter, so the guard is raised from a module the command imports itself
+    proc = subprocess.run([sys.executable, "-m", "pelljeru", *argv], capture_output=True, text=True,
+                          env=CHILD_ENV)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+LAZY_IMPORT_CHILD = """
+import os, sys
+import pelljeru
+from pelljeru.cli import main
+
+loaded = ["import pelljeru"] if "numpy" in sys.modules else []
+for argv in (["metrics", "--n", "30", "--3d"], ["metrics", "--pell-up-to", "40", "--format", "csv"],
+             ["metrics", "--n", "6", "--format", "csv"]):
+    assert main([*argv, "--out", os.devnull]) == 0
+    if "numpy" in sys.modules and not loaded:
+        loaded.append(" ".join(argv))
+print("numpy loaded by:", loaded)
+
+names = {}
+exec("from pelljeru import *", names)
+# modules in import order, so the first one that binds a name is the one defining it
+homes = [sys.modules[f"pelljeru.{m}"] for m in ("pell", "grid2d", "grid3d", "exact", "metrics")]
+unbound = []
+for name in pelljeru.__all__:
+    owner = next((vars(m)[name] for m in homes if name in vars(m)), sys.modules.get(f"pelljeru.{name}"))
+    if owner is None or names[name] is not owner:
+        unbound.append(name)
+print("names not bound to their module's object:", unbound)
+try:
+    pelljeru.no_such_name
+except AttributeError as exc:
+    print("unknown name:", exc)
+"""
+
+
+def test_metrics_and_import_load_no_numpy():
+    proc = subprocess.run([sys.executable, "-c", LAZY_IMPORT_CHILD], capture_output=True, text=True,
+                          env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "numpy loaded by: []",
+        "names not bound to their module's object: []",
+        "unknown name: module 'pelljeru' has no attribute 'no_such_name'",
+    ]
+
+
 def test_numpy_is_the_only_runtime_dependency():
     # numpy.ma too: a plain np.unique imports it on first call, 15-30 ms of a first discrepancy
     code = (

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -81,6 +82,19 @@ def test_dim_estimate_3d_converges():
     assert abs(est.slope - target) < 0.05
     est20 = dim_estimate([(pell(m), count3d_recurrence(m)) for m in range(2, 21)])
     assert abs(est20.endpoint - target) < 0.05
+
+
+@pytest.mark.parametrize("count", [count2d_recurrence, count3d_recurrence])
+def test_dim_estimate_slope_within_2_ulp(count):
+    for n in range(2, 89):
+        est = dim_estimate([(pell(m), count(m)) for m in range(1, n + 1)])
+        xs = [Fraction(math.log(pell(m))) for m in range(1, n + 1)]
+        ys = [Fraction(math.log(count(m))) for m in range(1, n + 1)]
+        sx, sy = sum(xs), sum(ys)
+        exact = ((n * sum(x * y for x, y in zip(xs, ys)) - sx * sy)
+                 / (n * sum(x * x for x in xs) - sx * sx))
+        assert abs(Fraction(est.slope) - exact) <= 2 * Fraction(math.ulp(float(exact))), n
+        assert est.endpoint == math.log(count(n)) / math.log(pell(n)), n
 
 
 def test_dim_analytic_values():
