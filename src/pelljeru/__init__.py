@@ -35,8 +35,8 @@ from .metrics import (
 # rebound in its module (a tracing wrapper, say) is seen here, and so is
 # its removal.
 _LAZY_NAMES = {
-    "grid2d": ("MAX_BUILD_2D", "Band", "BandKind", "BuildLimitError", "CoordinateError",
-               "Grid2D", "band_of", "build2d", "contains2d", "corner_subgrid", "subgrid"),
+    "grid2d": ("MAX_BUILD_2D", "BuildLimitError", "CoordinateError", "Grid2D", "build2d",
+               "contains2d", "corner_subgrid", "subgrid"),
     "grid3d": ("MAX_BUILD_3D", "Grid3D", "build3d", "contains3d", "subgrid3"),
     "exact": ("ExactModel", "UnitPoint", "discrepancy", "exact_contains", "rasterize_exact"),
     "export": (),
@@ -63,27 +63,6 @@ __all__ = [
     "pell",
     "ratio_diagnostic",
     "verify_recurrence",
-    "MAX_BUILD_2D",
-    "Band",
-    "BandKind",
-    "BuildLimitError",
-    "CoordinateError",
-    "Grid2D",
-    "band_of",
-    "build2d",
-    "contains2d",
-    "corner_subgrid",
-    "subgrid",
-    "MAX_BUILD_3D",
-    "Grid3D",
-    "build3d",
-    "contains3d",
-    "subgrid3",
-    "ExactModel",
-    "UnitPoint",
-    "discrepancy",
-    "exact_contains",
-    "rasterize_exact",
     "DimensionEstimate",
     "MetricsReport",
     "count2d_recurrence",
@@ -92,4 +71,5 @@ __all__ = [
     "dim_estimate",
     "report",
     "export",
+    *(name for names in _LAZY_NAMES.values() for name in names),
 ]

@@ -107,12 +107,11 @@ def _run(args) -> bytes | None:
     """
     if args.command in ("gen2d", "gen3d"):
         from . import export, grid2d, grid3d
-        build, write = ((grid2d.build2d, export.write2d) if args.command == "gen2d"
-                        else (grid3d.build3d, export.write3d))
+        build = grid2d.build2d if args.command == "gen2d" else grid3d.build3d
         grid = build(args.n, max_build=args.max_build)
         sink, close = _open_sink(args.out)
         try:
-            write(grid, args.format, sink)
+            export.write(grid, args.format, sink)
         finally:
             if close:
                 sink.close()
@@ -139,7 +138,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         payload = _run(args)
-    except (ValueError, OSError) as exc:  # every error class here is a ValueError
+    except (ValueError, OSError, MemoryError) as exc:  # MemoryError: --max-build too big to allocate
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if payload is not None:

@@ -25,19 +25,23 @@ from .pell import INVERSE_SILVER
 # one core and peaks at 29 MiB traced, 24 MB of it the packed result.
 MAX_RASTER = 13860
 
+# Band edges of the unit interval: low [0, _K), mid [_K, _B2), high [_B2, 1];
+# an edge copy spans [0, _K2) or [_FLUSH_HI, 1] on its non-mid axes.
+_K = INVERSE_SILVER
+_K2 = _K * _K
+_B2 = _K + _K2
+_FLUSH_HI = 1.0 - _K2
+
 
 @dataclass(frozen=True)
 class ExactModel:
-    """Continuous Jerusalem square scaled by k per rank, cut to a finite depth."""
+    """Continuous Jerusalem square scaled by k = sqrt(2) - 1 per rank, cut to a finite depth."""
 
     depth: int
-    k: float = INVERSE_SILVER
 
     def __post_init__(self):
         if self.depth < 0:
             raise ValueError(f"depth must be nonnegative, got {self.depth}")
-        if abs(2 * self.k + self.k * self.k - 1.0) >= 1e-12:
-            raise ValueError(f"scaling ratio {self.k} does not satisfy 2k + k^2 = 1")
 
 
 @dataclass(frozen=True)
@@ -52,22 +56,19 @@ class UnitPoint:
             raise ValueError(f"point ({self.u}, {self.v}) outside the unit square")
 
 
-def _contains_scalar(k: float, depth: int, u: float, v: float) -> bool:
-    k2 = k * k
-    b1 = k            # low band [0, b1)
-    b2 = k + k2       # mid band [b1, b2), high band [b2, 1]
-    flush_hi = 1.0 - k2
+def _contains_scalar(depth: int, u: float, v: float) -> bool:
+    k, k2, b2, flush_hi = _K, _K2, _B2, _FLUSH_HI  # local loads in the per-point loop
     for _ in range(depth):
-        u_mid = b1 <= u < b2
-        v_mid = b1 <= v < b2
+        u_mid = k <= u < b2
+        v_mid = k <= v < b2
         if u_mid and v_mid:
             return False
         if u_mid or v_mid:
             # Edge copy of side k^2, flush against the outer boundary along
             # the non-mid axis; the rest of that band is removed cross arm.
             if u_mid:
-                u = (u - b1) / k2
-            elif u < b1:
+                u = (u - k) / k2
+            elif u < k:
                 if u >= k2:
                     return False
                 u = u / k2
@@ -76,8 +77,8 @@ def _contains_scalar(k: float, depth: int, u: float, v: float) -> bool:
                     return False
                 u = (u - flush_hi) / k2
             if v_mid:
-                v = (v - b1) / k2
-            elif v < b1:
+                v = (v - k) / k2
+            elif v < k:
                 if v >= k2:
                     return False
                 v = v / k2
@@ -86,35 +87,31 @@ def _contains_scalar(k: float, depth: int, u: float, v: float) -> bool:
                     return False
                 v = (v - flush_hi) / k2
         else:
-            u = u / k if u < b1 else (u - b2) / k
-            v = v / k if v < b1 else (v - b2) / k
+            u = u / k if u < k else (u - b2) / k
+            v = v / k if v < k else (v - b2) / k
     return True
 
 
 def exact_contains(model: ExactModel, point: UnitPoint) -> bool:
     """True iff the point survives model.depth rounds of cross removal."""
-    return _contains_scalar(model.k, model.depth, point.u, point.v)
+    return _contains_scalar(model.depth, point.u, point.v)
 
 
-def _split(k: float, c: np.ndarray):
+def _split(c: np.ndarray):
     """One band step on an array of axis coordinates.
 
     Returns (mask, children) pairs for the corner part (not mid-band), the mid
     part and the flush part (inside an edge copy's band), each rescaled with
     the float operations of _contains_scalar, so the raster is bit-identical.
     """
-    k2 = k * k
-    b1 = k
-    b2 = k + k2
-    flush_hi = 1.0 - k2
-    mid = (c >= b1) & (c < b2)
+    mid = (c >= _K) & (c < _B2)
     corner = ~mid
-    flush = (c < k2) | (c >= flush_hi)
+    flush = (c < _K2) | (c >= _FLUSH_HI)
     cc, cm, cf = c[corner], c[mid], c[flush]
     return (
-        (corner, np.where(cc < b1, cc / k, (cc - b2) / k)),
-        (mid, (cm - b1) / k2),
-        (flush, np.where(cf < b1, cf / k2, (cf - flush_hi) / k2)),
+        (corner, np.where(cc < _K, cc / _K, (cc - _B2) / _K)),
+        (mid, (cm - _K) / _K2),
+        (flush, np.where(cf < _K, cf / _K2, (cf - _FLUSH_HI) / _K2)),
     )
 
 
@@ -144,7 +141,7 @@ def rasterize_exact(model: ExactModel, resolution: int, max_raster: int | None =
     for _ in range(model.depth):
         if not len(nodes):
             break  # every product has emptied out
-        parts = _split(model.k, centers)
+        parts = _split(centers)
         index = np.concatenate([index[m] for m, _ in parts])
         centers = np.concatenate([c for _, c in parts])
         path = np.concatenate([3 * path[m] + j for j, (m, _) in enumerate(parts)])

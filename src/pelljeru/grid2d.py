@@ -1,4 +1,4 @@
-"""Integer Jerusalem squares: band classifier, product-descent builder, accessors.
+"""Integer Jerusalem squares, with the band descents and packed grid shared with 3D.
 
 At level n the square of side ``pell(n)`` splits both axes into three bands
 of widths pell(n-1) / pell(n-2) / pell(n-1).  The four corner blocks hold
@@ -9,10 +9,8 @@ the filled unit square; level 0 is empty extent and is rejected outright.
 
 from __future__ import annotations
 
-import enum
 import functools
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,18 +29,6 @@ class BuildLimitError(ValueError):
     """Raised when a dense build would exceed the configured level guard."""
 
 
-class BandKind(enum.Enum):
-    LOW = "low"
-    MID = "mid"
-    HIGH = "high"
-
-
-@dataclass(frozen=True)
-class Band:
-    kind: BandKind
-    local_offset: int
-
-
 # Per level n >= 2: (low_w, hi0, mid_w, flush_hi).  Each axis splits into
 # [0, low_w) / [low_w, hi0) / [hi0, side); edge blocks span [0, mid_w) or
 # [flush_hi, side) on their non-mid axes.
@@ -50,21 +36,6 @@ _BANDS = [None, None] + [
     (pell(n - 1), pell(n - 1) + pell(n - 2), pell(n - 2), pell(n) - pell(n - 2))
     for n in range(2, N_MAX + 1)
 ]
-
-
-def band_of(coord: int, n: int) -> Band:
-    """Classify a coordinate into the low/mid/high band of level n (n >= 2)."""
-    if n < 2:
-        raise PellIndexError(f"band split needs level >= 2, got {n}")
-    side = pell(n)
-    if not 0 <= coord < side:
-        raise CoordinateError(f"coordinate {coord} outside [0, {side}) at level {n}")
-    low_w, hi0 = _BANDS[n][:2]
-    if coord < low_w:
-        return Band(BandKind.LOW, coord)
-    if coord < hi0:
-        return Band(BandKind.MID, coord - low_w)
-    return Band(BandKind.HIGH, coord - hi0)
 
 
 def _descend(n: int, coords) -> bool:
@@ -120,76 +91,85 @@ def _popcount(rows: np.ndarray, other: np.ndarray | None = None) -> int:
     return total
 
 
-class Grid2D:
-    """Dense square bitmap with bit-packed rows (MSB-first, PBM P4 layout).
+class _Packed:
+    """Dense grid of side ``side`` on D axes, bit-packed along x (MSB-first).
 
-    ``level`` records the construction level for grids built by build2d and
-    is None for grids from other sources (rasterized models, parsed files).
-    Equality compares side and cell contents only.  The packed rows are
+    Storage is one uint8 array indexed [..., y, packed-x], with z first in
+    3D.  ``level`` records the construction level for built grids and is None
+    for grids from other sources (rasterized models, parsed files).  Equality
+    compares the class, side and cell contents only.  The packed bits are
     immutable; padding bits past ``side`` are zero (the constructor rejects
     others), which keeps the XOR/popcount paths exact.
     """
 
-    __slots__ = ("side", "level", "_rows")
+    __slots__ = ("side", "level", "_bits")
 
-    def __init__(self, side: int, packed_rows: np.ndarray, level: int | None = None):
+    def __init__(self, side: int, packed: np.ndarray, level: int | None = None):
         if side < 1:
             raise ValueError(f"grid side must be >= 1, got {side}")
-        if packed_rows.shape != (side, (side + 7) // 8):
-            raise ValueError(f"packed rows shape {packed_rows.shape} does not match side {side}")
+        if packed.shape != (side,) * (self.D - 1) + ((side + 7) // 8,):
+            raise ValueError(f"packed shape {packed.shape} does not match side {side}")
         self.side = side
         self.level = level
         # A writeable input is copied, so the caller keeps a writeable array
         # that cannot change the grid; a read-only one is kept as it is.
-        copy = packed_rows.flags.writeable or None
-        rows = np.array(packed_rows, dtype=np.uint8, order="C", copy=copy)
-        if side % 8 and (rows[:, -1] & (0xFF >> side % 8)).any():
-            raise ValueError(f"packed rows set padding bits past side {side}")
-        rows.setflags(write=False)
-        self._rows = rows
+        copy = packed.flags.writeable or None
+        bits = np.array(packed, dtype=np.uint8, order="C", copy=copy)
+        if side % 8 and (bits[..., -1] & (0xFF >> side % 8)).any():
+            raise ValueError(f"packed data sets padding bits past side {side}")
+        bits.setflags(write=False)
+        self._bits = bits
 
     @classmethod
-    def from_bool_array(cls, cells: np.ndarray, level: int | None = None) -> "Grid2D":
+    def from_bool_array(cls, cells: np.ndarray, level: int | None = None):
         cells = np.asarray(cells, dtype=bool)
-        if cells.ndim != 2 or cells.shape[0] != cells.shape[1]:
-            raise ValueError(f"expected a square cell array, got shape {cells.shape}")
-        return cls(cells.shape[0], np.packbits(cells, axis=1), level=level)
-
-    def cell(self, x: int, y: int) -> bool:
-        if not (0 <= x < self.side and 0 <= y < self.side):
-            raise CoordinateError(f"cell ({x}, {y}) outside [0, {self.side})^2")
-        return bool(self._rows[y, x >> 3] & (0x80 >> (x & 7)))
-
-    def row_bits(self, y: int) -> np.ndarray:
-        """Unpacked boolean row y (length side)."""
-        return np.unpackbits(self._rows[y], count=self.side).view(bool)
+        if cells.ndim != cls.D or len(set(cells.shape)) != 1:
+            raise ValueError(f"expected {cls.D} axes of equal length, got shape {cells.shape}")
+        return cls(cells.shape[0], np.packbits(cells, axis=-1), level=level)
 
     def to_bool_array(self) -> np.ndarray:
-        return np.unpackbits(self._rows, axis=1, count=self.side).view(bool)
-
-    def packed_rows(self) -> np.ndarray:
-        """Read-only (side, ceil(side/8)) uint8 rows, MSB leftmost."""
-        return self._rows
+        """Boolean cells indexed [..., y, x], a view of fresh unpacked bits."""
+        return np.unpackbits(self._bits, axis=-1, count=self.side).view(bool)
 
     def filled_count(self) -> int:
-        return _popcount(self._rows)
-
-    def difference_count(self, other: "Grid2D") -> int:
-        """Number of cells on which the two grids differ."""
-        if self.side != other.side:
-            raise ValueError(f"grid sides differ: {self.side} vs {other.side}")
-        return _popcount(self._rows, other._rows)
+        return _popcount(self._bits.reshape(-1, self._bits.shape[-1]))
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Grid2D):
+        if not isinstance(other, type(self)):
             return NotImplemented
-        return self.side == other.side and np.array_equal(self._rows, other._rows)
+        return self.side == other.side and np.array_equal(self._bits, other._bits)
 
     __hash__ = None  # content equality, so not hashable
 
     def __repr__(self) -> str:
         lvl = "" if self.level is None else f", level={self.level}"
-        return f"Grid2D(side={self.side}{lvl}, filled={self.filled_count()})"
+        return f"{type(self).__name__}(side={self.side}{lvl}, filled={self.filled_count()})"
+
+
+class Grid2D(_Packed):
+    """Dense square bitmap with bit-packed rows (MSB-first, PBM P4 layout)."""
+
+    __slots__ = ()
+    D = 2
+
+    def cell(self, x: int, y: int) -> bool:
+        if not (0 <= x < self.side and 0 <= y < self.side):
+            raise CoordinateError(f"cell ({x}, {y}) outside [0, {self.side})^2")
+        return bool(self._bits[y, x >> 3] & (0x80 >> (x & 7)))
+
+    def row_bits(self, y: int) -> np.ndarray:
+        """Unpacked boolean row y (length side)."""
+        return np.unpackbits(self._bits[y], count=self.side).view(bool)
+
+    def packed_rows(self) -> np.ndarray:
+        """Read-only (side, ceil(side/8)) uint8 rows, MSB leftmost."""
+        return self._bits
+
+    def difference_count(self, other: "Grid2D") -> int:
+        """Number of cells on which the two grids differ."""
+        if self.side != other.side:
+            raise ValueError(f"grid sides differ: {self.side} vs {other.side}")
+        return _popcount(self._bits, other._bits)
 
 
 # Nodes at or below this level stamp a memoized boolean figure, which keeps the
@@ -244,29 +224,37 @@ def _product_descent(n: int, d: int) -> np.ndarray:
     return out
 
 
+def _build(cls, n: int, limit: int):
+    """The dense level-n grid of class cls, guarded at level limit."""
+    if not 1 <= n <= N_MAX:
+        raise PellIndexError(f"dense build level {n} outside [1, {N_MAX}]")
+    if n > limit:
+        raise BuildLimitError(f"dense {cls.D}D build at level {n} exceeds the guard {limit}; "
+                              "raise max_build to override")
+    return cls(pell(n), _product_descent(n, cls.D), level=n)
+
+
 def build2d(n: int, max_build: int | None = None) -> Grid2D:
     """Build the dense level-n grid by product descent (see _product_descent).
 
     The result agrees cell-for-cell with contains2d.
     """
-    limit = MAX_BUILD_2D if max_build is None else max_build
-    if not 1 <= n <= N_MAX:
-        raise PellIndexError(f"dense build level {n} outside [1, {N_MAX}]")
-    if n > limit:
-        raise BuildLimitError(
-            f"dense 2D build at level {n} exceeds the guard {limit}; raise max_build to override"
-        )
-    return Grid2D(pell(n), _product_descent(n, 2), level=n)
+    return _build(Grid2D, n, MAX_BUILD_2D if max_build is None else max_build)
+
+
+def _block(g: _Packed, origin: tuple[int, ...], size: int, level: int | None):
+    """The size-sided block of g at origin (x first) as a standalone grid."""
+    if size < 1 or min(origin) < 0 or max(origin) + size > g.side:
+        raise CoordinateError(f"block of size {size} at {origin} outside grid of side {g.side}")
+    x0 = origin[0]
+    window = tuple(slice(o, o + size) for o in reversed(origin[1:]))
+    block = np.unpackbits(g._bits[window], axis=-1, count=x0 + size)[..., x0:]
+    return type(g)(size, np.packbits(block, axis=-1), level=level)
 
 
 def subgrid(g: Grid2D, x0: int, y0: int, size: int, level: int | None = None) -> Grid2D:
     """Extract a size x size block as a standalone grid."""
-    if size < 1 or x0 < 0 or y0 < 0 or x0 + size > g.side or y0 + size > g.side:
-        raise CoordinateError(
-            f"block [{x0}, {x0 + size}) x [{y0}, {y0 + size}) outside grid of side {g.side}"
-        )
-    block = np.unpackbits(g.packed_rows()[y0:y0 + size], axis=1, count=x0 + size)[:, x0:]
-    return Grid2D(size, np.packbits(block, axis=1), level=level)
+    return _block(g, (x0, y0), size, level)
 
 
 _CORNERS = ("NW", "NE", "SW", "SE")

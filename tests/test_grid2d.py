@@ -5,14 +5,13 @@ import pytest
 
 from pelljeru import (
     MAX_BUILD_2D,
-    Band,
-    BandKind,
     BuildLimitError,
     CoordinateError,
     N_MAX,
     Grid2D,
-    band_of,
+    Grid3D,
     build2d,
+    build3d,
     contains2d,
     count2d_recurrence,
     corner_subgrid,
@@ -46,25 +45,6 @@ FROZEN_SHA256 = {
     11: "2c94a270ff8235bfbbf43f4419c4c89448f7e4babefde77d9f874eaf603f7a47",
     12: "905e08e0e79b436e11e74f1fc8b0061664a7852f3a2e2fdc971554f786630ef7",
 }
-
-
-def test_band_of():
-    assert band_of(0, 3) == Band(BandKind.LOW, 0)
-    assert band_of(2, 3) == Band(BandKind.MID, 0)
-    assert band_of(4, 3) == Band(BandKind.HIGH, 1)
-    # 12 = 5 + 2 + 5 split at n=4
-    assert band_of(4, 4) == Band(BandKind.LOW, 4)
-    assert band_of(5, 4) == Band(BandKind.MID, 0)
-    assert band_of(7, 4) == Band(BandKind.HIGH, 0)
-
-
-def test_band_of_guards():
-    with pytest.raises(CoordinateError):
-        band_of(-1, 3)
-    with pytest.raises(CoordinateError):
-        band_of(5, 3)
-    with pytest.raises(ValueError):
-        band_of(0, 1)
 
 
 def test_contains_basics():
@@ -213,6 +193,8 @@ def test_grid_equality_and_diff():
     assert a.difference_count(c) == 1
     with pytest.raises(ValueError):
         a.difference_count(build2d(3))
+    # one filled cell on two axes is not one filled voxel on three
+    assert build2d(1) != build3d(1)
 
 
 def test_from_bool_array_validation():
@@ -220,6 +202,9 @@ def test_from_bool_array_validation():
         Grid2D.from_bool_array(np.ones((2, 3), dtype=bool))
     with pytest.raises(ValueError):
         Grid2D.from_bool_array(np.ones((0, 0), dtype=bool))
+    for shape in ((2, 3, 3), (3, 3), (0, 0, 0)):
+        with pytest.raises(ValueError):
+            Grid3D.from_bool_array(np.ones(shape, dtype=bool))
 
 
 def test_nonzero_padding_bits_rejected():
