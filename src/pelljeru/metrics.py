@@ -8,8 +8,7 @@ analytic routes to the fractal dimension live here as well.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .pell import N_MAX, INVERSE_SILVER, PellIndexError, RatioDiagnostic, pell, ratio_diagnostic
 
@@ -38,8 +37,7 @@ def count3d_recurrence(n: int) -> int:
     return b
 
 
-@dataclass(frozen=True)
-class DimensionEstimate:
+class DimensionEstimate(NamedTuple):
     """Box-counting dimension read two ways from (side, filled) data."""
 
     endpoint: float   # log(filled) / log(side) at the largest side
@@ -99,8 +97,7 @@ def dim_analytic(kind: str = "square", method: str = "log") -> float:
     return math.log(x) / math.log(INVERSE_SILVER)
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(NamedTuple):
     n: int
     side: int
     filled_2d: int

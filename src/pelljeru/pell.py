@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # Guard for pell(): indices above this are refused so a fixed-width caller
 # (128-bit integers) can mirror this module without silent overflow.
@@ -45,8 +45,7 @@ def pell(n: int) -> int:
     return _cache[n]
 
 
-@dataclass(frozen=True)
-class RatioDiagnostic:
+class RatioDiagnostic(NamedTuple):
     """Convergence of the consecutive Pell ratio at index n.
 
     ratio            p_n / p_{n-1}

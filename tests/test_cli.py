@@ -213,18 +213,86 @@ def test_guard_errors_from_lazy_imports_exit_1(argv):
     assert "Traceback" not in proc.stderr
 
 
+def run_child(*argv, unbuffered, stdout=subprocess.PIPE):
+    """`python -m pelljeru ARGV` in a fresh interpreter, which leaves through cli.run_main.
+
+    PYTHONUNBUFFERED is set or unset here, whatever the test session has.
+    """
+    env = {key: value for key, value in CHILD_ENV.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "pelljeru", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env)
+
+
+def assert_one_error_line(proc):
+    err = proc.stderr.decode()
+    assert proc.returncode == 1, err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+# A failed write, or a failed flush of stdout on the way out, is one error
+# line and exit 1, whether stdout is buffered or not; gen2d --n 10 (11 MB)
+# fails inside the write and leaves bytes behind for the final flush.
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv", [
+    ["metrics", "--n", "30"],
+    ["compare", "--n", "4"],
+    ["gen2d", "--n", "10"],
+    ["metrics", "--pell-up-to", "88", "--out", "/dev/full"],
+], ids=["metrics", "compare", "gen2d", "metrics-out-file"])
+def test_failed_write_exits_1(argv, unbuffered):
+    with open("/dev/full", "wb") as full:
+        proc = run_child(*argv, unbuffered=unbuffered, stdout=full)
+    assert_one_error_line(proc)
+
+
+def test_closed_stdout_exits_1():
+    # fd 1 closed before exec: the child starts with sys.stdout None
+    proc = subprocess.run([sys.executable, "-m", "pelljeru", "metrics", "--n", "30"],
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=CHILD_ENV,
+                          preexec_fn=lambda: os.close(1))
+    assert_one_error_line(proc)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_fresh_process_writes_everything(unbuffered):
+    proc = run_child("gen2d", "--n", "10", unbuffered=unbuffered)
+    assert proc.returncode == 0
+    assert proc.stdout == expected_2d(10, "pbm_ascii")
+
+    proc = run_child("compare", "--sweep", "2..8", unbuffered=unbuffered)
+    assert proc.returncode == 0
+    assert proc.stdout.decode().splitlines() == [f"{m} {pelljeru.discrepancy(m)!r}" for m in range(2, 9)]
+
+
+def test_fresh_process_argument_error_exits_2():
+    proc = run_child("gen2d", unbuffered=False)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert b"--n" in proc.stderr
+
+
 LAZY_IMPORT_CHILD = """
 import os, sys
 import pelljeru
 from pelljeru.cli import main
 
-loaded = ["import pelljeru"] if "numpy" in sys.modules else []
+loaded = {}  # module -> what first loaded it
+def note(by):
+    for module in ("numpy", "dataclasses"):
+        if module in sys.modules:
+            loaded.setdefault(module, by)
+
+note("import pelljeru")
 for argv in (["metrics", "--n", "30", "--3d"], ["metrics", "--pell-up-to", "40", "--format", "csv"],
              ["metrics", "--n", "6", "--format", "csv"]):
     assert main([*argv, "--out", os.devnull]) == 0
-    if "numpy" in sys.modules and not loaded:
-        loaded.append(" ".join(argv))
-print("numpy loaded by:", loaded)
+    note(" ".join(argv))
+print("numpy or dataclasses loaded by:", loaded)
 
 names = {}
 exec("from pelljeru import *", names)
@@ -248,7 +316,7 @@ def test_metrics_and_import_load_no_numpy():
                           env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "numpy loaded by: []",
+        "numpy or dataclasses loaded by: {}",
         "names not bound to their module's object: []",
         "unknown name: module 'pelljeru' has no attribute 'no_such_name'",
     ]

@@ -7,6 +7,7 @@ from pelljeru import (
     DimensionEstimate,
     MetricsReport,
     PellIndexError,
+    RatioDiagnostic,
     build2d,
     build3d,
     count2d_recurrence,
@@ -176,3 +177,53 @@ def test_report_is_frozen():
     rep = report(2)
     with pytest.raises(AttributeError):
         rep.n = 5
+
+
+# report(30, include_3d=True) as the dataclass records printed it; the named
+# tuples must keep every byte
+REPORT_30_TEXT = """\
+n=30
+side=107578520350
+filled_2d=57755778331915059200
+fill_fraction=0.0049905028462310505
+dim2d_endpoint=1.7913421904416018
+dim2d_slope=1.787202740463217
+pell_ratio=2.414213562373095
+ratio_error_silver=1.780554387698298e-22
+ratio_error_k=3.0549483584318394e-23
+filled_3d=10422444770333199196749824000
+dim3d_endpoint=2.5397631071568267
+dim3d_slope=2.530750207937126
+"""
+REPORT_30_CSV_ROW = (
+    "30,107578520350,57755778331915059200,0.0049905028462310505,1.7913421904416018,"
+    "1.787202740463217,2.414213562373095,1.780554387698298e-22,3.0549483584318394e-23,"
+    "10422444770333199196749824000,2.5397631071568267,2.530750207937126,"
+)
+
+
+def test_records_keep_fields_defaults_and_bytes():
+    diag = RatioDiagnostic(n=4, ratio=2.4, error_to_silver=0.1, error_to_k=0.2)
+    est = DimensionEstimate(endpoint=1.5, slope=1.25)
+    assert diag._fields == ("n", "ratio", "error_to_silver", "error_to_k")
+    assert est._fields == ("endpoint", "slope")
+    assert MetricsReport._fields == (
+        "n", "side", "filled_2d", "fill_fraction", "dim_estimate_2d", "ratio_diag",
+        "filled_3d", "dim_estimate_3d", "discrepancy",
+    )
+    assert MetricsReport._field_defaults == {"filled_3d": None, "dim_estimate_3d": None, "discrepancy": None}
+    rep = MetricsReport(n=4, side=12, filled_2d=96, fill_fraction=96 / 144,
+                        dim_estimate_2d=est, ratio_diag=diag)
+    assert (rep.filled_3d, rep.dim_estimate_3d, rep.discrepancy) == (None, None, None)
+    assert rep.ratio_diag.error_to_k == 0.2 and rep.dim_estimate_2d.slope == 1.25
+    for record, name in ((diag, "ratio"), (est, "slope"), (rep, "side"), (rep, "not_a_field")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+
+    rep30 = report(30, include_3d=True)
+    assert rep30.to_text() == REPORT_30_TEXT
+    assert rep30.to_csv_row() == REPORT_30_CSV_ROW
+    assert MetricsReport.csv_header() == ",".join(MetricsReport._FIELDS) == (
+        "n,side,filled_2d,fill_fraction,dim2d_endpoint,dim2d_slope,pell_ratio,"
+        "ratio_error_silver,ratio_error_k,filled_3d,dim3d_endpoint,dim3d_slope,discrepancy"
+    )
